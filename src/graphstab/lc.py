@@ -3,21 +3,23 @@ local-Clifford equivalence search between dense states.
 
 The search space per qubit is the canonical 24-element single-qubit Clifford
 list from :mod:`graphstab.localops`; assignments are scanned in lexicographic
-order over positions, so witnesses are deterministic across runs.
+order over positions, so witnesses are deterministic across runs.  The scan
+fixes leading qubits by recursion and covers the last three in chunks of 24^3
+candidates, contracted factor by factor with no precomputed table (a few
+hundred KB of working memory per chunk).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .graphs import Graph, canonical_key, local_complement
-from .localops import LocalUnitary, PAULI_MATS, pauli_rotation, single_qubit_cliffords
-from .states import ATOL, StateVector, apply_local, build_graph_state, equal_up_to_global_phase
+from .localops import LocalUnitary, pauli_rotation, single_qubit_cliffords
+from .states import (ATOL, StateVector, _apply_factor, apply_local, build_graph_state,
+                     equal_up_to_global_phase)
 
 MAX_SEARCH_QUBITS = 6
 MAX_ORBIT_QUBITS = 12
@@ -112,27 +114,6 @@ class EquivalenceWitness:
     unitary: LocalUnitary | None = None
 
 
-@lru_cache(maxsize=4)
-def _tail_ops(t: int) -> np.ndarray:
-    """Stack of all 24^t Kronecker products over t qubits, lexicographic order."""
-    cliffs = single_qubit_cliffords()
-    dim = 2**t
-    out = np.empty((24**t, dim, dim), dtype=complex)
-    for k, combo in enumerate(itertools.product(cliffs, repeat=t)):
-        m = np.array([[1.0]], dtype=complex)
-        for f in combo:
-            m = np.kron(m, f)
-        out[k] = m
-    out.setflags(write=False)
-    return out
-
-
-def _apply_at(amps: np.ndarray, mat: np.ndarray, pos: int, n: int) -> np.ndarray:
-    t = amps.reshape([2] * n)
-    t = np.tensordot(mat, t, axes=([1], [pos]))
-    return np.moveaxis(t, 0, pos).reshape(-1)
-
-
 def lc_search(source: StateVector, target: StateVector,
               atol: float = ATOL) -> EquivalenceWitness:
     """Exhaustive scan of per-qubit Clifford assignments mapping source to target.
@@ -140,6 +121,12 @@ def lc_search(source: StateVector, target: StateVector,
     Returns the first match in canonical (lexicographic) enumeration order,
     with the witness global phase fixed so the map is exact, or found=False
     after all 24^n candidates.
+
+    The leading n - 3 qubits are fixed one Clifford at a time by recursion;
+    the last min(n, 3) are scanned together, in chunks of 24^3 candidates.  A
+    chunk contracts the overlap block of target and source on those qubits
+    with the 24 Cliffords factor by factor, last qubit first, so there is no
+    precomputed table and a chunk's working memory is a few hundred KB.
     """
     if source.n != target.n:
         raise ValueError("qubit counts differ")
@@ -147,26 +134,26 @@ def lc_search(source: StateVector, target: StateVector,
     if n > MAX_SEARCH_QUBITS:
         raise ValueError(f"search limited to {MAX_SEARCH_QUBITS} qubits (24^n candidates)")
     cliffs = single_qubit_cliffords()
+    stack = np.array(cliffs)  # (24, 2, 2)
     t = min(n, _BATCH_TAIL)
-    tail = _tail_ops(t)
     target_block = target.amps.reshape(2 ** (n - t), 2**t)
 
     def scan(pos: int, amps: np.ndarray, prefix: tuple[int, ...]):
         if pos == n - t:
             block = amps.reshape(2 ** (n - t), 2**t)
-            cross = target_block.conj().T @ block  # (2^t, 2^t)
-            overlaps = np.tensordot(tail, cross, axes=([1, 2], [0, 1]))
-            hits = np.flatnonzero(np.abs(np.abs(overlaps) - 1.0) <= atol)
-            if hits.size:
-                k = int(hits[0])
-                digits = []
-                for _ in range(t):
-                    digits.append(k % 24)
-                    k //= 24
-                return prefix + tuple(reversed(digits)), overlaps[int(hits[0])]
+            overlaps = (target_block.conj().T @ block).reshape([2] * (2 * t))
+            # Axes are (Clifford indices..., row bits..., column bits...); the
+            # current qubit's row bit sits at axis t - 1 and its column bit
+            # last, and each contraction puts its Clifford axis in front.
+            for _ in range(t):
+                overlaps = np.tensordot(stack, overlaps, axes=([1, 2], [t - 1, -1]))
+            hits = np.argwhere(np.abs(np.abs(overlaps) - 1.0) <= atol)
+            if len(hits):
+                first = tuple(int(c) for c in hits[0])
+                return prefix + first, overlaps[first]
             return None
         for c in range(24):
-            found = scan(pos + 1, _apply_at(amps, cliffs[c], pos, n), prefix + (c,))
+            found = scan(pos + 1, _apply_factor(amps, cliffs[c], pos, n), prefix + (c,))
             if found is not None:
                 return found
         return None

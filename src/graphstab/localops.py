@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -178,10 +178,3 @@ def clifford_conjugation_table() -> tuple[tuple[tuple[int, str], tuple[int, str]
             raise RuntimeError("canonical Clifford failed its own conjugation check")
         table.append(action)
     return tuple(table)
-
-
-def iter_clifford_assignments(n: int) -> Iterator[tuple[int, ...]]:
-    """Lexicographic index tuples into the canonical 24-element list."""
-    import itertools
-
-    return itertools.product(range(24), repeat=n)

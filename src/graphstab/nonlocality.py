@@ -131,9 +131,14 @@ def lhv_contradiction_certificate(
 
     A dependent subset whose signs multiply to -1 certifies unsatisfiability
     (every outcome squares to +1, so the subset's product forces 1 = -1).
-    Returns a minimal such subset, smallest first by size then by index;
-    (False, ()) when the sign functional is +1 on the whole null space, which
-    happens exactly when the system is satisfiable.
+    When the null space has at most 16 dimensions every dependency is
+    scanned and the subset returned is a smallest one (fewest constraints,
+    ties broken by the lower index bitmask).  Above that the scan is skipped
+    and the subset is the elimination's null-space basis vector with sign
+    -1 that has the fewest constraints: a valid certificate, but not
+    necessarily minimal, and it depends on the constraint order.  Returns
+    (False, ()) when the sign functional is +1 on the whole null space,
+    which happens exactly when the system is satisfiable.
     """
     pairs = _universe(constraints)
     index = {pair: j for j, pair in enumerate(pairs)}

@@ -11,7 +11,7 @@ position q; positions follow the owning graph/state's vertex order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -204,7 +204,3 @@ def conjugate_by_local(u: LocalUnitary, p: PauliString) -> PauliString:
         x_out |= acc[1] << q
         z_out |= acc[2] << q
     return PauliString(p.n, x_out, z_out, phase)
-
-
-def format_paulis(paulis: Iterable[PauliString]) -> str:
-    return "\n".join(p.to_text() for p in paulis)

@@ -15,10 +15,9 @@ from typing import Iterable
 import numpy as np
 
 from .graphs import Graph
-from .localops import LocalUnitary
+from .localops import ATOL, LocalUnitary
 from .pauli import PauliString
 
-ATOL = 1e-9
 MAX_QUBITS = 12
 
 
@@ -37,7 +36,7 @@ class StateVector:
         if amps.size != 2**n:
             raise ValueError(f"expected {2**n} amplitudes, got {amps.size}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > ATOL:
+        if not abs(norm - 1.0) <= ATOL:  # also rejects NaN and inf
             raise ValueError(f"state is not normalized (|norm-1| = {abs(norm-1.0):.3e})")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -173,7 +172,7 @@ def state_from_dict(data: object) -> StateVector:
         if field not in data:
             raise ValueError(f"missing field {field!r}")
     n, order, amps = data["n"], data["order"], data["amps"]
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("field 'n' must be an integer")
     if not isinstance(order, list) or not all(isinstance(v, str) for v in order):
         raise ValueError("field 'order' must be a list of strings")
@@ -186,7 +185,7 @@ def state_from_dict(data: object) -> StateVector:
     values = np.empty(2**n, dtype=complex)
     for k, pair in enumerate(amps):
         if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(v, (int, float)) for v in pair)):
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
             raise ValueError(f"amps[{k}]: expected a [re, im] pair")
         values[k] = complex(pair[0], pair[1])
     return StateVector(tuple(order), values)

@@ -240,3 +240,12 @@ class TestErrorPaths:
         code, _, err = run(capsys, "entropy", str(path), "--cut", "a")
         assert code == 2
         assert "normalized" in err
+
+    def test_nan_state_rejected_by_lc_search(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"n": 1, "order": ["a"],
+                                    "amps": [[float("nan"), 0.0], [0.0, 0.0]]}))
+        code, out, err = run(capsys, "lc-search", str(path), str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("graphstab: ") and "normalized" in err

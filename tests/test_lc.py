@@ -1,13 +1,19 @@
+import itertools
 import math
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from graphstab import (Graph, apply_local, build_chi00, build_graph_state, canonical_key,
-                       enumerate_orbit, equal_up_to_global_phase, lc_search,
-                       local_complement, tau_unitary)
+from graphstab import (Graph, LocalUnitary, apply_local, build_chi00, build_graph_state,
+                       canonical_key, enumerate_orbit, equal_up_to_global_phase, lc_search,
+                       local_complement, single_qubit_cliffords, tau_unitary)
 from graphstab.states import StateVector, allclose, max_residual, overlap
+
+from strategies import graphs, local_cliffords, random_states
 
 # frozen ahead of the build by an independent breadth-first search with
 # adjacency hashing (see orbit_oracle below): 4 paths + 1 cycle + 4 paws
@@ -212,3 +218,76 @@ class TestLcSearch:
         s = StateVector(names, amps)
         with pytest.raises(ValueError, match="6"):
             lc_search(s, s)
+
+
+# --- slow oracle for lc_search: explicit Kronecker products, lexicographic scan ---
+
+@lru_cache(maxsize=None)
+def kron_table(t: int) -> np.ndarray:
+    """All 24^t Kronecker products of the canonical Cliffords, lexicographic order."""
+    cliffs = np.array(single_qubit_cliffords())
+    if t == 1:
+        return cliffs
+    # np.kron of (K, 1, d, d) with (1, 24, 2, 2) pairs every product with every Clifford
+    return np.kron(kron_table(t - 1)[:, None], cliffs[None]).reshape(24**t, 2**t, 2**t)
+
+
+def lc_search_reference(source: StateVector, target: StateVector, atol: float = 1e-9):
+    """(factor indices, phase) of the first candidate mapping source to target, or None.
+
+    Leading qubits beyond the last three are applied as dense kron(prefix, I);
+    the last three are scanned through the Kronecker table.
+    """
+    n = source.n
+    t = min(n, 3)
+    table = kron_table(t)
+    cliffs = single_qubit_cliffords()
+    for prefix in itertools.product(range(24), repeat=n - t):
+        lead = np.eye(1, dtype=complex)
+        for c in prefix:
+            lead = np.kron(lead, cliffs[c])
+        psi = (np.kron(lead, np.eye(2**t)) @ source.amps).reshape(2 ** (n - t), 2**t)
+        # images[k] = (I x table[k]) psi, as one matrix product over all k
+        images = (table.reshape(-1, 2**t) @ psi.T).reshape(len(table), 2**t, -1)
+        images = images.transpose(0, 2, 1).reshape(len(table), -1)
+        overlaps = images @ target.amps.conj()
+        hits = np.flatnonzero(np.abs(np.abs(overlaps) - 1.0) <= atol)
+        if hits.size:
+            ov = overlaps[hits[0]]
+            tail = np.unravel_index(hits[0], (24,) * t)
+            return prefix + tuple(int(c) for c in tail), ov.conjugate() / abs(ov)
+    return None
+
+
+@st.composite
+def search_pairs(draw):
+    g = draw(graphs(min_n=1, max_n=4))
+    source = build_graph_state(g)
+    kind = draw(st.sampled_from(["hit", "graph", "random"]))
+    if kind == "hit":
+        u = draw(local_cliffords(g.n))
+        angle = draw(st.floats(0.0, 2 * math.pi))
+        u = LocalUnitary(complex(math.cos(angle), math.sin(angle)), u.factors)
+        target = apply_local(u, source)
+    elif kind == "graph":
+        h = draw(graphs(min_n=g.n, max_n=g.n))
+        target = build_graph_state(h)
+    else:
+        target = draw(random_states(n=g.n))
+    return source, target
+
+
+class TestLcSearchMatchesKronReference:
+    @given(search_pairs())
+    def test_same_witness_as_kron_scan(self, pair):
+        source, target = pair
+        want = lc_search_reference(source, target)
+        got = lc_search(source, target)
+        assert got.found == (want is not None)
+        if want is None:
+            return
+        cliffs = single_qubit_cliffords()
+        indices = tuple(next(k for k, c in enumerate(cliffs) if np.array_equal(c, f))
+                        for f in got.unitary.factors)
+        assert indices == want[0]
+        assert abs(got.unitary.global_phase - want[1]) <= 1e-12

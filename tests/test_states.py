@@ -219,3 +219,21 @@ class TestJson:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             state_from_dict({"n": 1, "order": ["a"], "amps": [[1.0, 0.0], [1.0, 0.0]]})
+
+    @pytest.mark.parametrize("doc", [
+        {"n": True, "order": ["a"], "amps": [[1.0, 0.0], [0.0, 0.0]]},
+        {"n": 1, "order": ["a"], "amps": [[True, False], [False, False]]},
+        {"n": 1, "order": ["a"], "amps": [[1.0, 0.0], [0.0, False]]},
+    ])
+    def test_rejects_booleans(self, doc):
+        with pytest.raises(ValueError, match="'n'|amps"):
+            state_from_dict(doc)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_state_vector_rejects(self, bad):
+        with pytest.raises(ValueError, match="normalized"):
+            StateVector(("a",), [bad, 0.0])
+        with pytest.raises(ValueError, match="normalized"):
+            StateVector(("a", "b"), [1.0, 0.0, complex(0.0, bad), 0.0])
