@@ -1,7 +1,6 @@
 """Command-line surface.
 
-Exit codes: 0 success / all checks pass, 1 check failure or witness not
-found, 2 usage or file-format errors.
+Exit codes: 0 success, 1 check failed or no witness found, 2 bad input or usage.
 """
 from __future__ import annotations
 
@@ -9,6 +8,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import reference
 from .entanglement import Bipartition, entropy, is_product_across, reduce
@@ -19,36 +19,19 @@ from .nonlocality import lhv_contradiction_certificate, lhv_solve_exhaustive, qu
 from .states import build_chi00, build_graph_state, state_from_dict, state_to_dict
 from .verify import verify_all
 
-
-class CliError(Exception):
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
+T = TypeVar("T")
 
 
-def _load_json(path: str) -> object:
+def _load(path: str, parse: Callable[[object], T]) -> T:
+    """Read, decode and parse one JSON file; every failure is a ValueError naming `path`."""
     try:
-        text = Path(path).read_text()
+        return parse(json.loads(Path(path).read_bytes()))
     except OSError as exc:
-        raise CliError(2, f"{path}: {exc.strerror or exc}") from None
-    try:
-        return json.loads(text)
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
-        raise CliError(2, f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-
-
-def _load_graph(path: str):
-    try:
-        return graph_from_dict(_load_json(path))
-    except ValueError as exc:
-        raise CliError(2, f"{path}: {exc}") from None
-
-
-def _load_state(path: str):
-    try:
-        return state_from_dict(_load_json(path))
-    except ValueError as exc:
-        raise CliError(2, f"{path}: {exc}") from None
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # bad encoding, schema, or nesting depth
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _emit(data: dict) -> None:
@@ -58,26 +41,18 @@ def _emit(data: dict) -> None:
 def _cmd_state(args: argparse.Namespace) -> int:
     if args.kind == "chi00":
         if args.graph_file is not None:
-            raise CliError(2, "state build chi00 takes no file argument")
+            raise ValueError("state build chi00 takes no file argument")
         state = build_chi00()
     else:
         if args.graph_file is None:
-            raise CliError(2, "state build graph requires a graph JSON file")
-        graph = _load_graph(args.graph_file)
-        try:
-            state = build_graph_state(graph)
-        except ValueError as exc:
-            raise CliError(2, f"{args.graph_file}: {exc}") from None
+            raise ValueError("state build graph requires a graph JSON file")
+        state = build_graph_state(_load(args.graph_file, graph_from_dict))
     _emit(state_to_dict(state))
     return 0
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
-    seed = _load_graph(args.graph_file)
-    try:
-        report = enumerate_orbit(seed, max_members=args.max)
-    except ValueError as exc:
-        raise CliError(2, f"{args.graph_file}: {exc}") from None
+    report = enumerate_orbit(_load(args.graph_file, graph_from_dict), max_members=args.max)
     if args.format == "dot":
         blocks = []
         for i, member in enumerate(report.members):
@@ -101,13 +76,9 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
-    state = _load_state(args.state_file)
-    side = tuple(name for name in args.cut.split(",") if name)
-    try:
-        cut = Bipartition.of(state, side)
-        rho = reduce(state, cut)
-    except ValueError as exc:
-        raise CliError(2, f"--cut {args.cut!r}: {exc}") from None
+    state = _load(args.state_file, state_from_dict)
+    cut = Bipartition.of(state, tuple(name for name in args.cut.split(",") if name))
+    rho = reduce(state, cut)
     _emit({
         "cut": list(cut.side_a),
         "complement": list(cut.side_b),
@@ -143,12 +114,8 @@ def _cmd_ghz_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_lc_search(args: argparse.Namespace) -> int:
-    source = _load_state(args.source)
-    target = _load_state(args.target)
-    try:
-        witness = lc_search(source, target)
-    except ValueError as exc:
-        raise CliError(2, str(exc)) from None
+    source = _load(args.source, state_from_dict)
+    witness = lc_search(source, _load(args.target, state_from_dict))
     if not witness.found:
         _emit({"found": False})
         return 1
@@ -173,7 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphstab",
         description="Exact verification toolkit for graph states, stabilizer groups, "
-                    "local-Clifford equivalence and GHZ-type nonlocality.")
+                    "local-Clifford equivalence and GHZ-type nonlocality.",
+        epilog="exit codes: 0 success, 1 check failed or no witness found, "
+               "2 bad input or usage")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_state = sub.add_parser("state", help="build reference states")
@@ -217,9 +186,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"graphstab: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
 
 
 def entry() -> None:

@@ -42,11 +42,12 @@ class DensityMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > ATOL:
+        # written as `not (x <= ATOL)` so that NaN and inf are rejected too
+        if not np.max(np.abs(m - m.conj().T)) <= ATOL:
             raise ValueError("density matrix must be hermitian")
-        if abs(np.trace(m).real - 1.0) > ATOL:
+        if not abs(np.trace(m).real - 1.0) <= ATOL:
             raise ValueError("density matrix must have unit trace")
-        if np.linalg.eigvalsh(m).min() < -ATOL:
+        if not -np.linalg.eigvalsh(m).min() <= ATOL:
             raise ValueError("density matrix must be positive semidefinite")
         m = m.copy()
         m.setflags(write=False)

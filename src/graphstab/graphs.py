@@ -6,7 +6,6 @@ significant bit.  Adjacency is stored as one bitmask per vertex.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -88,9 +87,6 @@ class Graph:
         except ValueError:
             raise ValueError(f"unknown qubit label {name!r}") from None
 
-    def has_edge(self, a: str, b: str) -> bool:
-        return bool(self.rows[self.position(a)] >> self.position(b) & 1)
-
     def degree(self, a: str) -> int:
         return self.rows[self.position(a)].bit_count()
 
@@ -165,10 +161,6 @@ def graph_from_dict(data: object) -> Graph:
         return Graph.from_edges(vertices, pairs)
     except ValueError as exc:
         raise ValueError(f"edges/vertices: {exc}") from None
-
-
-def graph_to_json(g: Graph) -> str:
-    return json.dumps(graph_to_dict(g), indent=2)
 
 
 def _dot_id(name: str) -> str:

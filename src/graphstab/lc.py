@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, canonical_key, local_complement
-from .localops import LocalUnitary, pauli_rotation, single_qubit_cliffords
+from .localops import MAX_QUBITS, LocalUnitary, pauli_rotation, single_qubit_cliffords
 from .states import (ATOL, StateVector, _apply_factor, apply_local, build_graph_state,
                      equal_up_to_global_phase)
 
 MAX_SEARCH_QUBITS = 6
-MAX_ORBIT_QUBITS = 12
 _BATCH_TAIL = 3  # qubits handled by one fully vectorized block
 
 
@@ -66,8 +65,8 @@ def enumerate_orbit(seed: Graph, max_members: int | None = None,
     `verify` is true (default for n <= 6) every witness is checked against
     the dense engine, up to global phase.
     """
-    if seed.n > MAX_ORBIT_QUBITS:
-        raise ValueError(f"orbit enumeration limited to {MAX_ORBIT_QUBITS} vertices")
+    if seed.n > MAX_QUBITS:
+        raise ValueError(f"orbit enumeration limited to {MAX_QUBITS} vertices")
     if max_members is not None and max_members < 1:
         raise ValueError("max_members must be positive")
     if verify is None:

@@ -15,6 +15,7 @@ from typing import Mapping
 import numpy as np
 
 ATOL = 1e-9
+MAX_QUBITS = 12  # dense limit: 2^12 amplitudes, 2^12 x 2^12 operators
 
 PAULI_MATS: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
@@ -46,7 +47,7 @@ class LocalUnitary:
     factors: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if abs(abs(self.global_phase) - 1.0) > ATOL:
+        if not abs(abs(self.global_phase) - 1.0) <= ATOL:  # also rejects NaN and inf
             raise ValueError("global phase must have unit modulus")
         if not self.factors:
             raise ValueError("need at least one factor")
@@ -55,7 +56,7 @@ class LocalUnitary:
             f = np.asarray(f, dtype=complex)
             if f.shape != (2, 2):
                 raise ValueError(f"factor on qubit {q} is not 2x2")
-            if np.max(np.abs(f @ f.conj().T - np.eye(2))) > ATOL:
+            if not np.max(np.abs(f @ f.conj().T - np.eye(2))) <= ATOL:
                 raise ValueError(f"factor on qubit {q} is not unitary")
             frozen.append(_frozen(f))
         object.__setattr__(self, "factors", tuple(frozen))
@@ -87,9 +88,9 @@ class LocalUnitary:
                             tuple(f.conj().T for f in self.factors))
 
     def dense(self) -> np.ndarray:
-        """Full 2^n x 2^n matrix; intended for n <= 12."""
-        if self.n > 12:
-            raise ValueError("dense form limited to 12 qubits")
+        """Full 2^n x 2^n matrix, n <= MAX_QUBITS."""
+        if self.n > MAX_QUBITS:
+            raise ValueError(f"dense form limited to {MAX_QUBITS} qubits")
         out = np.array([[self.global_phase]], dtype=complex)
         for f in self.factors:
             out = np.kron(out, f)

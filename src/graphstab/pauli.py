@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .localops import PAULI_MATS, LocalUnitary, clifford_pauli_action
+from .graphs import MAX_VERTICES
+from .localops import MAX_QUBITS, PAULI_MATS, LocalUnitary, clifford_pauli_action
 
 _LETTER_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
 _PHASE_TEXT = {0: "", 1: "+i", 2: "-", 3: "-i"}
@@ -35,8 +36,8 @@ class PauliString:
     phase_exp: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= 32:
-            raise ValueError(f"qubit count must be in 1..32, got {self.n}")
+        if not 1 <= self.n <= MAX_VERTICES:
+            raise ValueError(f"qubit count must be in 1..{MAX_VERTICES}, got {self.n}")
         for mask in (self.x, self.z):
             if mask < 0 or mask >> self.n:
                 raise ValueError("bitmask addresses qubits outside 0..n-1")
@@ -65,12 +66,6 @@ class PauliString:
         return cls(len(letters), x, z, phase % 4)
 
     @classmethod
-    def single(cls, n: int, position: int, letter: str, sign: int = 1) -> "PauliString":
-        letters = ["I"] * n
-        letters[position] = letter
-        return cls.from_letters("".join(letters), sign)
-
-    @classmethod
     def from_text(cls, text: str) -> "PauliString":
         """Parse '-ZXIX' style text: optional {+,-,+i,-i} then IXYZ letters."""
         s = text.strip().replace("−", "-")
@@ -94,10 +89,6 @@ class PauliString:
     @property
     def letters(self) -> str:
         return "".join(self.letter(q) for q in range(self.n))
-
-    @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
 
     def _letter_phase(self) -> int:
         # i**value relative to the IXYZ letter form (each Y absorbs one i)
@@ -123,9 +114,9 @@ class PauliString:
         return self.to_text()
 
     def to_matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix (n <= 12)."""
-        if self.n > 12:
-            raise ValueError("dense form limited to 12 qubits")
+        """Dense 2^n x 2^n matrix (n <= MAX_QUBITS)."""
+        if self.n > MAX_QUBITS:
+            raise ValueError(f"dense form limited to {MAX_QUBITS} qubits")
         out = np.array([[1j ** self._letter_phase()]], dtype=complex)
         for q in range(self.n):
             out = np.kron(out, PAULI_MATS[self.letter(q)])

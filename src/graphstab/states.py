@@ -7,7 +7,6 @@ labels (A3, A4, B1, B2) the amplitude of |a3 a4 b1 b2> sits at index
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -15,10 +14,8 @@ from typing import Iterable
 import numpy as np
 
 from .graphs import Graph
-from .localops import ATOL, LocalUnitary
+from .localops import ATOL, MAX_QUBITS, LocalUnitary
 from .pauli import PauliString
-
-MAX_QUBITS = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,9 +184,9 @@ def state_from_dict(data: object) -> StateVector:
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
             raise ValueError(f"amps[{k}]: expected a [re, im] pair")
-        values[k] = complex(pair[0], pair[1])
-    return StateVector(tuple(order), values)
-
-
-def state_to_json(s: StateVector) -> str:
-    return json.dumps(state_to_dict(s), indent=2)
+        try:
+            values[k] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise ValueError(f"amps[{k}]: number too large for a float") from None
+    with np.errstate(over="ignore"):  # a norm past float range is inf, which StateVector rejects
+        return StateVector(tuple(order), values)

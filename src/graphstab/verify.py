@@ -15,6 +15,7 @@ from . import reference
 from .entanglement import Bipartition, entropy, is_product_across, reduce
 from .graphs import Graph, canonical_key, local_complement
 from .lc import lc_search, tau_unitary
+from .localops import ATOL
 from .nonlocality import (certificate_pauli_product, lhv_contradiction_certificate,
                           lhv_solve_exhaustive, quantum_check)
 from .pauli import PauliString, commutes, independent, multiply
@@ -74,7 +75,7 @@ def _graph_from_generator_letters(letters: tuple[str, ...], names: tuple[str, ..
     return Graph.from_edges(names, [(names[i], names[j]) for i, j in sorted(edges)])
 
 
-def verify_all(atol: float = 1e-9) -> VerificationReport:
+def verify_all(atol: float = ATOL) -> VerificationReport:
     """Run the full battery at the given amplitude tolerance."""
     checks: list[CheckResult] = []
     ga = reference.graph_a()

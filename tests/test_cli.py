@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from graphstab import reference
+from graphstab import cli, reference
 from graphstab.cli import main
 from graphstab.graphs import graph_to_dict
 from graphstab.states import state_to_dict, StateVector
@@ -249,3 +251,108 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err.startswith("graphstab: ") and "normalized" in err
+
+
+class TestHelp:
+    def test_epilog_states_the_exit_codes(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        contract = "exit codes: 0 success, 1 check failed or no witness found, 2 bad input or usage"
+        assert contract in " ".join(out.split())
+        assert contract in " ".join(cli.__doc__.lower().split())
+
+
+# --- every file-taking command maps every input to exit 0, 1 or 2 ---
+
+FILE_COMMANDS = {
+    "state-build-graph": lambda src, dst: ["state", "build", "graph", src],
+    "orbit": lambda src, dst: ["orbit", src],
+    "entropy": lambda src, dst: ["entropy", src, "--cut", "a"],
+    "lc-search": lambda src, dst: ["lc-search", src, dst],
+}
+
+LABELS = st.sampled_from(["a", "b", "c", "d"])
+NUMBERS = st.integers() | st.floats() | st.booleans() | st.sampled_from([10**400, -10**400])
+JSON_VALUES = st.recursive(
+    st.none() | NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def graph_docs(draw):
+    """Graph documents with at most four vertices, well-formed or not."""
+    vertices = draw(st.lists(LABELS, max_size=4) | JSON_VALUES)
+    edges = draw(st.lists(st.lists(LABELS, max_size=3) | JSON_VALUES, max_size=6) | JSON_VALUES)
+    return {"vertices": vertices, "edges": edges}
+
+
+@st.composite
+def state_docs(draw):
+    """State documents on at most four qubits: valid, well-shaped or arbitrary."""
+    shape = draw(st.sampled_from(["valid", "pairs", "arbitrary"]))
+    order = draw(st.lists(LABELS, min_size=shape != "arbitrary", max_size=4))
+    size = 2 ** len(order)
+    if shape == "valid":
+        values = np.array(draw(st.lists(st.floats(-1, 1), min_size=2 * size, max_size=2 * size)))
+        norm = np.linalg.norm(values)
+        amps = (values / norm if norm > 0 else np.eye(2 * size)[0]).reshape(-1, 2).tolist()
+    elif shape == "pairs":
+        amps = draw(st.lists(st.lists(NUMBERS, min_size=2, max_size=2), min_size=size, max_size=size))
+    else:
+        return {"n": draw(NUMBERS), "order": order,
+                "amps": draw(st.lists(st.lists(NUMBERS, max_size=3) | JSON_VALUES, max_size=17)
+                             | JSON_VALUES)}
+    return {"n": len(order), "order": order, "amps": amps}
+
+
+def documents(expected):
+    """File contents: mostly the document kind the command expects, else any JSON or bytes."""
+    as_json = st.one_of(expected, graph_docs() | state_docs() | JSON_VALUES)
+    return as_json.map(lambda doc: json.dumps(doc).encode()) | st.binary(max_size=40)
+
+
+def assert_exit_contract(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("graphstab: ")
+    return code, err
+
+
+@pytest.mark.filterwarnings("error")  # a warning would print to stderr ahead of the message
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_files_map_to_exit_codes(capsys, tmp_path, command, data):
+    expected = graph_docs() if command in ("orbit", "state-build-graph") else state_docs()
+    paths = (tmp_path / "src.json", tmp_path / "dst.json")
+    for path in paths:
+        path.write_bytes(data.draw(documents(expected)))
+    assert_exit_contract(capsys, FILE_COMMANDS[command](*map(str, paths)))
+
+
+HOSTILE_FILES = {
+    "huge-amplitude": json.dumps({"n": 1, "order": ["a"], "amps": [[10**400, 0], [0, 0]]}).encode(),
+    "deep-nesting": b"[" * 200_000 + b"]" * 200_000,
+    "non-utf8": b'{"n": 1, "order": ["\xe9"], "amps": [[1, 0], [0, 0]]}',
+    "nan-literal": b'{"n": 1, "order": ["a"], "amps": [[NaN, 0], [0, 0]]}',
+    "infinity-literal": b'{"n": 1, "order": ["a"], "amps": [[Infinity, 0], [0, 0]]}',
+    "norm-overflow": b'{"n": 1, "order": ["a"], "amps": [[1e308, 1e308], [1e308, 0]]}',
+    "booleans": b'{"n": true, "order": ["a"], "amps": [[true, false], [false, false]]}',
+    "graph-literals": b'{"vertices": ["a", NaN, true], "edges": [[Infinity, "a"]]}',
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+@pytest.mark.parametrize("kind", sorted(HOSTILE_FILES) + ["directory"])
+def test_hostile_file_exits_two(capsys, tmp_path, command, kind):
+    if kind == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(HOSTILE_FILES[kind])
+    code, err = assert_exit_contract(capsys, FILE_COMMANDS[command](str(path), str(path)))
+    assert code == 2
+    assert str(path) in err

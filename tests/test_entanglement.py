@@ -117,3 +117,9 @@ class TestValidation:
             DensityMatrix(np.eye(2))
         with pytest.raises(ValueError, match="positive"):
             DensityMatrix(np.diag([1.5, -0.5]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_density_matrix_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="density matrix"):
+            DensityMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))

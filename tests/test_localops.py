@@ -77,6 +77,19 @@ class TestLocalUnitary:
         with pytest.raises(ValueError, match="phase"):
             LocalUnitary(2.0, (np.eye(2),))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_phase(self, bad):
+        with pytest.raises(ValueError, match="phase"):
+            LocalUnitary(bad, (np.eye(2),))
+        with pytest.raises(ValueError, match="phase"):
+            LocalUnitary(complex(bad, 0.0), (np.eye(2),))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_factor(self, bad):
+        with pytest.raises(ValueError, match="qubit 1"):
+            LocalUnitary(1.0, (np.eye(2), np.array([[bad, 0], [0, 1]])))
+
     def test_compose_then_inverse_is_identity(self):
         u = LocalUnitary(1j, (HADAMARD, PAULI_MATS["Z"] @ HADAMARD))
         ident = u.compose(u.inverse())

@@ -229,6 +229,10 @@ class TestJson:
         with pytest.raises(ValueError, match="'n'|amps"):
             state_from_dict(doc)
 
+    def test_rejects_number_too_large_for_a_float(self):
+        with pytest.raises(ValueError, match=r"amps\[1\]: number too large"):
+            state_from_dict({"n": 1, "order": ["a"], "amps": [[0, 0], [0, 10**400]]})
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
