@@ -34,6 +34,13 @@ def _load(path: str, parse: Callable[[object], T]) -> T:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --max: a decimal integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _emit(data: dict) -> None:
     print(json.dumps(data, indent=2))
 
@@ -154,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_orbit = sub.add_parser("orbit", help="enumerate the local-complementation orbit")
     p_orbit.add_argument("graph_file")
-    p_orbit.add_argument("--max", type=int, default=None, help="cap on member count")
+    p_orbit.add_argument("--max", type=_positive_int, default=None, help="cap on member count")
     p_orbit.add_argument("--format", choices=["json", "dot"], default="json")
     p_orbit.set_defaults(func=_cmd_orbit)
 

@@ -83,6 +83,6 @@ def entropy(rho: DensityMatrix) -> float:
     return float(-(ev * np.log2(ev)).sum())
 
 
-def is_product_across(s: StateVector, cut: Bipartition, atol: float = ATOL) -> bool:
-    """True iff the marginal on side_a is pure (purity 1 within tolerance)."""
-    return abs(reduce(s, cut).purity() - 1.0) <= atol
+def is_product_across(s: StateVector, cut: Bipartition) -> bool:
+    """True iff the marginal on side_a is pure (purity 1 within ATOL)."""
+    return abs(reduce(s, cut).purity() - 1.0) <= ATOL

@@ -125,12 +125,10 @@ def canonical_key(g: Graph) -> int:
     Equal keys <=> equal edge sets, for graphs sharing one vertex label order.
     """
     key = 0
-    bit = 0
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if g.rows[i] >> j & 1:
-                key |= 1 << bit
-            bit += 1
+    shift = 0
+    for i, row in enumerate(g.rows):
+        key |= row >> (i + 1) << shift  # bits j > i of row i
+        shift += g.n - i - 1
     return key
 
 

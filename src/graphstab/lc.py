@@ -1,12 +1,12 @@
 """Local-complementation unitaries, LC-orbit enumeration, and brute-force
 local-Clifford equivalence search between dense states.
 
-The search space per qubit is the canonical 24-element single-qubit Clifford
-list from :mod:`graphstab.localops`; assignments are scanned in lexicographic
-order over positions, so witnesses are deterministic across runs.  The scan
-fixes leading qubits by recursion and covers the last three in chunks of 24^3
-candidates, contracted factor by factor with no precomputed table (a few
-hundred KB of working memory per chunk).
+The search space per qubit is the canonical (24, 2, 2) Clifford stack from
+:mod:`graphstab.localops`; assignments are scanned in lexicographic order
+over positions, so witnesses are deterministic across runs.  The scan fixes
+leading qubits by recursion and covers the last three in chunks of 24^3
+candidates, contracted with the stack factor by factor (a few hundred KB of
+working memory per chunk).  Witnesses are :class:`LocalUnitary` objects.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, canonical_key, local_complement
-from .localops import MAX_QUBITS, LocalUnitary, pauli_rotation, single_qubit_cliffords
-from .states import (ATOL, StateVector, _apply_factor, apply_local, build_graph_state,
+from .localops import ATOL, MAX_QUBITS, LocalUnitary, pauli_rotation, single_qubit_cliffords
+from .states import (StateVector, _apply_factor, apply_local, build_graph_state,
                      equal_up_to_global_phase)
 
 MAX_SEARCH_QUBITS = 6
@@ -113,8 +113,7 @@ class EquivalenceWitness:
     unitary: LocalUnitary | None = None
 
 
-def lc_search(source: StateVector, target: StateVector,
-              atol: float = ATOL) -> EquivalenceWitness:
+def lc_search(source: StateVector, target: StateVector) -> EquivalenceWitness:
     """Exhaustive scan of per-qubit Clifford assignments mapping source to target.
 
     Returns the first match in canonical (lexicographic) enumeration order,
@@ -133,7 +132,6 @@ def lc_search(source: StateVector, target: StateVector,
     if n > MAX_SEARCH_QUBITS:
         raise ValueError(f"search limited to {MAX_SEARCH_QUBITS} qubits (24^n candidates)")
     cliffs = single_qubit_cliffords()
-    stack = np.array(cliffs)  # (24, 2, 2)
     t = min(n, _BATCH_TAIL)
     target_block = target.amps.reshape(2 ** (n - t), 2**t)
 
@@ -145,8 +143,8 @@ def lc_search(source: StateVector, target: StateVector,
             # current qubit's row bit sits at axis t - 1 and its column bit
             # last, and each contraction puts its Clifford axis in front.
             for _ in range(t):
-                overlaps = np.tensordot(stack, overlaps, axes=([1, 2], [t - 1, -1]))
-            hits = np.argwhere(np.abs(np.abs(overlaps) - 1.0) <= atol)
+                overlaps = np.tensordot(cliffs, overlaps, axes=([1, 2], [t - 1, -1]))
+            hits = np.argwhere(np.abs(np.abs(overlaps) - 1.0) <= ATOL)
             if len(hits):
                 first = tuple(int(c) for c in hits[0])
                 return prefix + first, overlaps[first]
@@ -162,5 +160,5 @@ def lc_search(source: StateVector, target: StateVector,
         return EquivalenceWitness(False, None)
     assignment, ov = hit
     phase = ov.conjugate() / abs(ov)
-    witness = LocalUnitary(phase, tuple(cliffs[c] for c in assignment))
+    witness = LocalUnitary(phase, cliffs[list(assignment)])
     return EquivalenceWitness(True, witness)

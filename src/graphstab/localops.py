@@ -1,9 +1,10 @@
 """Per-qubit unitaries: tensor-product operators and the single-qubit Clifford group.
 
-A :class:`LocalUnitary` is a global scalar phase times one 2x2 factor per
-qubit.  The 24-element single-qubit Clifford group is generated by closure
-from {H, S}, canonicalized up to global phase, and its Pauli conjugation
-table is derived from dense 2x2 algebra rather than written by hand.
+A :class:`LocalUnitary` is a global scalar phase times one read-only
+(n, 2, 2) array of per-qubit factors.  The 24 single-qubit Cliffords are
+generated by closure from {H, S}, canonicalized up to global phase, and held
+as one read-only (24, 2, 2) array; a factor's Pauli conjugation action is
+derived from dense 2x2 algebra rather than written by hand.
 """
 from __future__ import annotations
 
@@ -33,44 +34,42 @@ def pauli_rotation(letter: str, angle: float) -> np.ndarray:
     return np.cos(angle) * PAULI_MATS["I"] + 1j * np.sin(angle) * p
 
 
-def _frozen(mat: np.ndarray) -> np.ndarray:
-    out = np.array(mat, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class LocalUnitary:
     """global_phase * (factors[0] x factors[1] x ... ), position 0 leftmost."""
 
     global_phase: complex
-    factors: tuple[np.ndarray, ...]
+    factors: np.ndarray  # a read-only complex (n, 2, 2) copy of the input
 
     def __post_init__(self) -> None:
         if not abs(abs(self.global_phase) - 1.0) <= ATOL:  # also rejects NaN and inf
             raise ValueError("global phase must have unit modulus")
-        if not self.factors:
+        f = np.array(self.factors, dtype=complex)
+        if not f.size:
             raise ValueError("need at least one factor")
-        frozen = []
-        for q, f in enumerate(self.factors):
-            f = np.asarray(f, dtype=complex)
-            if f.shape != (2, 2):
-                raise ValueError(f"factor on qubit {q} is not 2x2")
-            if not np.max(np.abs(f @ f.conj().T - np.eye(2))) <= ATOL:
-                raise ValueError(f"factor on qubit {q} is not unitary")
-            frozen.append(_frozen(f))
-        object.__setattr__(self, "factors", tuple(frozen))
+        if f.ndim != 3 or f.shape[1:] != (2, 2):
+            raise ValueError(f"factors must have shape (n, 2, 2), not {f.shape}")
+        err = np.max(np.abs(f @ f.conj().swapaxes(1, 2) - np.eye(2)), axis=(1, 2))
+        bad = np.flatnonzero(~(err <= ATOL))  # also rejects NaN and inf
+        if len(bad):
+            raise ValueError(f"factor on qubit {bad[0]} is not unitary")
+        f.setflags(write=False)
+        object.__setattr__(self, "factors", f)
         object.__setattr__(self, "global_phase", complex(self.global_phase))
 
     @classmethod
     def identity(cls, n: int) -> "LocalUnitary":
-        return cls(1.0, tuple(PAULI_MATS["I"] for _ in range(n)))
+        return cls(1.0, np.tile(PAULI_MATS["I"], (n, 1, 1)))
 
     @classmethod
     def embed(cls, n: int, placed: Mapping[int, np.ndarray], global_phase: complex = 1.0) -> "LocalUnitary":
         """Identity everywhere except the given position -> matrix entries."""
-        facs = [placed.get(q, PAULI_MATS["I"]) for q in range(n)]
-        return cls(global_phase, tuple(facs))
+        facs = np.tile(PAULI_MATS["I"], (n, 1, 1))
+        for q, mat in placed.items():
+            if not 0 <= q < n:
+                raise ValueError(f"position {q} is out of range for {n} qubits")
+            facs[q] = mat
+        return cls(global_phase, facs)
 
     @property
     def n(self) -> int:
@@ -80,12 +79,10 @@ class LocalUnitary:
         """self applied after other (operator product self @ other)."""
         if self.n != other.n:
             raise ValueError("qubit counts differ")
-        facs = tuple(a @ b for a, b in zip(self.factors, other.factors))
-        return LocalUnitary(self.global_phase * other.global_phase, facs)
+        return LocalUnitary(self.global_phase * other.global_phase, self.factors @ other.factors)
 
     def inverse(self) -> "LocalUnitary":
-        return LocalUnitary(self.global_phase.conjugate(),
-                            tuple(f.conj().T for f in self.factors))
+        return LocalUnitary(self.global_phase.conjugate(), self.factors.conj().swapaxes(1, 2))
 
     def dense(self) -> np.ndarray:
         """Full 2^n x 2^n matrix, n <= MAX_QUBITS."""
@@ -123,8 +120,8 @@ def _key(mat: np.ndarray) -> tuple:
 
 
 @lru_cache(maxsize=1)
-def single_qubit_cliffords() -> tuple[np.ndarray, ...]:
-    """The 24 single-qubit Cliffords, canonical up to global phase.
+def single_qubit_cliffords() -> np.ndarray:
+    """The 24 single-qubit Cliffords, canonical up to global phase, read-only (24, 2, 2).
 
     Enumeration order is fixed: breadth-first closure from the identity under
     left multiplication by H then S, deduplicated after phase canonicalization.
@@ -144,7 +141,9 @@ def single_qubit_cliffords() -> tuple[np.ndarray, ...]:
                 queue.append(v)
     if len(found) != 24:
         raise RuntimeError(f"Clifford closure produced {len(found)} elements")
-    return tuple(_frozen(m) for m in found)
+    out = np.array(found)
+    out.setflags(write=False)
+    return out
 
 
 def clifford_pauli_action(mat: np.ndarray) -> tuple[tuple[int, str], tuple[int, str]] | None:
@@ -167,15 +166,3 @@ def clifford_pauli_action(mat: np.ndarray) -> tuple[tuple[int, str], tuple[int, 
             return None
         out.append(hit)
     return out[0], out[1]
-
-
-@lru_cache(maxsize=1)
-def clifford_conjugation_table() -> tuple[tuple[tuple[int, str], tuple[int, str]], ...]:
-    """Conjugation action of each canonical Clifford, in enumeration order."""
-    table = []
-    for mat in single_qubit_cliffords():
-        action = clifford_pauli_action(mat)
-        if action is None:
-            raise RuntimeError("canonical Clifford failed its own conjugation check")
-        table.append(action)
-    return tuple(table)

@@ -147,9 +147,9 @@ def max_residual(s: StateVector, t: StateVector) -> float:
     return float(np.max(np.abs(s.amps - t.amps)))
 
 
-def equal_up_to_global_phase(s: StateVector, t: StateVector, atol: float = ATOL) -> bool:
-    """True iff |<s|t>| = 1 within tolerance (both states are unit norm)."""
-    return abs(abs(overlap(s, t)) - 1.0) <= atol
+def equal_up_to_global_phase(s: StateVector, t: StateVector) -> bool:
+    """True iff |<s|t>| = 1 within ATOL (both states are unit norm)."""
+    return abs(abs(overlap(s, t)) - 1.0) <= ATOL
 
 
 # --- JSON interchange ---

@@ -37,7 +37,7 @@ def paulis(draw, n: int | None = None, max_n: int = 6):
 def local_cliffords(draw, n: int):
     cliffs = single_qubit_cliffords()
     idx = draw(st.tuples(*(st.integers(0, 23) for _ in range(n))))
-    return LocalUnitary(1.0, tuple(cliffs[i] for i in idx))
+    return LocalUnitary(1.0, cliffs[list(idx)])
 
 
 @st.composite

@@ -138,6 +138,14 @@ class TestOrbitCommand:
         assert doc["truncated"] is True
         assert len(doc["members"]) == 3
 
+    @pytest.mark.parametrize("bad", ["0", "-1", "two"])
+    def test_max_must_be_positive(self, capsys, graph_file, bad):
+        code, out, err = run(capsys, "orbit", graph_file, "--max", bad)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: graphstab orbit")
+        assert f"argument --max: expected a positive integer, got '{bad}'" in err
+
     def test_edgeless_single_member(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"vertices": ["a", "b"], "edges": []}))

@@ -108,6 +108,18 @@ class TestCanonicalKey:
         rebuilt = Graph.from_edges(g.names, g.edges())
         assert canonical_key(rebuilt) == canonical_key(g)
 
+    @given(g=graphs(max_n=12))
+    def test_matches_per_bit_packing(self, g):
+        # the upper-triangular bits, one at a time, row-major
+        key = 0
+        bit = 0
+        for i in range(g.n):
+            for j in range(i + 1, g.n):
+                if g.rows[i] >> j & 1:
+                    key |= 1 << bit
+                bit += 1
+        assert canonical_key(g) == key
+
 
 class TestInterchange:
     def test_json_round_trip(self, graph_a):

@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from graphstab import LocalUnitary, PauliString, conjugate_by_local, single_qubit_cliffords
-from graphstab.localops import (HADAMARD, PAULI_MATS, canonical_phase,
-                                clifford_conjugation_table, clifford_pauli_action,
+from graphstab import (LocalUnitary, PauliString, apply_local, conjugate_by_local,
+                       single_qubit_cliffords)
+from graphstab.localops import (HADAMARD, PAULI_MATS, canonical_phase, clifford_pauli_action,
                                 pauli_rotation)
+
+from strategies import local_cliffords, random_states
 
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
 
@@ -32,18 +38,9 @@ def test_closed_under_composition():
 def test_enumeration_is_deterministic():
     first = [c.copy() for c in single_qubit_cliffords()]
     single_qubit_cliffords.cache_clear()
-    clifford_conjugation_table.cache_clear()
     second = single_qubit_cliffords()
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
-
-
-def test_conjugation_table_matches_dense_algebra():
-    cliffs = single_qubit_cliffords()
-    table = clifford_conjugation_table()
-    for mat, ((sx, lx), (sz, lz)) in zip(cliffs, table):
-        assert np.max(np.abs(mat @ PAULI_MATS["X"] @ mat.conj().T - sx * PAULI_MATS[lx])) < 1e-9
-        assert np.max(np.abs(mat @ PAULI_MATS["Z"] @ mat.conj().T - sz * PAULI_MATS[lz])) < 1e-9
 
 
 def test_symbolic_conjugation_agrees_with_dense_on_all_96_cases():
@@ -55,6 +52,13 @@ def test_symbolic_conjugation_agrees_with_dense_on_all_96_cases():
             symbolic = conjugate_by_local(u, p).to_matrix()
             dense = mat @ p.to_matrix() @ mat.conj().T
             assert np.max(np.abs(symbolic - dense)) < 1e-9
+
+
+def test_group_is_one_read_only_stack():
+    cliffs = single_qubit_cliffords()
+    assert cliffs.shape == (24, 2, 2)
+    with pytest.raises(ValueError):
+        cliffs[0, 0, 0] = 5.0
 
 
 def test_non_clifford_detected():
@@ -103,3 +107,51 @@ class TestLocalUnitary:
         u = LocalUnitary.identity(1)
         with pytest.raises(ValueError):
             u.factors[0][0, 0] = 5.0
+
+    def test_factors_are_one_stack(self):
+        u = LocalUnitary(1.0, [HADAMARD, PAULI_MATS["Z"]])
+        assert u.factors.shape == (2, 2, 2)
+        assert u.factors.dtype == complex
+
+    def test_factors_are_copied_from_the_input(self):
+        mats = np.array([HADAMARD, PAULI_MATS["X"]])
+        u = LocalUnitary(1.0, mats)
+        mats[0] = PAULI_MATS["Z"]
+        assert np.array_equal(u.factors[0], HADAMARD)
+
+    @pytest.mark.parametrize("factors", [
+        (np.ones((2, 3), dtype=complex),),
+        np.ones((2, 2), dtype=complex),
+        (),
+        np.zeros((0, 2, 2)),
+        [np.eye(2), np.eye(3)],  # ragged
+    ], ids=["2x3", "unstacked", "empty", "empty-stack", "ragged"])
+    def test_rejects_malformed_factors(self, factors):
+        with pytest.raises(ValueError):
+            LocalUnitary(1.0, factors)
+
+    @pytest.mark.parametrize("pos", [-1, 2])
+    def test_embed_rejects_out_of_range_position(self, pos):
+        with pytest.raises(ValueError, match="out of range"):
+            LocalUnitary.embed(2, {pos: PAULI_MATS["X"]})
+
+
+@st.composite
+def phased_cliffords(draw, n: int) -> LocalUnitary:
+    u = draw(local_cliffords(n))
+    angle = draw(st.floats(0.0, 2 * math.pi))
+    return LocalUnitary(complex(math.cos(angle), math.sin(angle)), u.factors)
+
+
+@st.composite
+def clifford_pairs_and_state(draw):
+    n = draw(st.integers(1, 4))
+    return draw(phased_cliffords(n)), draw(phased_cliffords(n)), draw(random_states(n=n))
+
+
+@given(clifford_pairs_and_state())
+def test_stacked_algebra_matches_dense(case):
+    u, v, s = case
+    assert np.max(np.abs(u.compose(v).dense() - u.dense() @ v.dense())) < 1e-12
+    assert np.max(np.abs(u.inverse().dense() - u.dense().conj().T)) < 1e-12
+    assert np.max(np.abs(apply_local(u, s).amps - u.dense() @ s.amps)) < 1e-12
