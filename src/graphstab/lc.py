@@ -23,6 +23,9 @@ from .states import (StateVector, _apply_factor, apply_local, build_graph_state,
 
 MAX_SEARCH_QUBITS = 6
 _BATCH_TAIL = 3  # qubits handled by one fully vectorized block
+_TAU_VERTEX = pauli_rotation("X", math.pi / 4)
+_TAU_NEIGHBOR = pauli_rotation("Z", -math.pi / 4)
+_TAU_PHASE = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
 
 
 def tau_unitary(g: Graph, a: str) -> LocalUnitary:
@@ -34,12 +37,12 @@ def tau_unitary(g: Graph, a: str) -> LocalUnitary:
     phase (i * e^{-i pi deg(a)/4}) otherwise.
     """
     pos = g.position(a)
-    placed = {pos: pauli_rotation("X", math.pi / 4)}
+    placed = {pos: _TAU_VERTEX}
     row = g.rows[pos]
     for j in range(g.n):
         if row >> j & 1:
-            placed[j] = pauli_rotation("Z", -math.pi / 4)
-    return LocalUnitary.embed(g.n, placed, complex(math.cos(math.pi / 4), math.sin(math.pi / 4)))
+            placed[j] = _TAU_NEIGHBOR
+    return LocalUnitary.embed(g.n, placed, _TAU_PHASE)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,13 @@ of its deterministic components does.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import xor
 from typing import Mapping, Sequence
 
-from .pauli import PauliString, multiply
+from .pauli import PauliString, _dependencies, multiply
 from .states import ATOL, StateVector, expectation
 
 AXES = ("x", "z")
@@ -100,9 +103,17 @@ def quantum_check(s: StateVector, constraints: Sequence[CorrelationConstraint],
     return CorrelationReport(tuple(entries))
 
 
-def _universe(constraints: Sequence[CorrelationConstraint]) -> list[tuple[str, str]]:
+def _encode(
+    constraints: Sequence[CorrelationConstraint],
+) -> tuple[list[tuple[str, str]], list[int], int]:
+    """The canonical pairs, each constraint's term-incidence mask over them,
+    and the mask of constraints whose sign is -1."""
     labels = sorted({q for c in constraints for q, _ in c.terms})
-    return [(q, axis) for q in labels for axis in AXES]
+    pairs = [(q, axis) for q in labels for axis in AXES]
+    index = {pair: j for j, pair in enumerate(pairs)}
+    incidence = [sum(1 << index[term] for term in c.terms) for c in constraints]
+    neg = sum(1 << i for i, c in enumerate(constraints) if c.sign < 0)
+    return pairs, incidence, neg
 
 
 def lhv_solve_exhaustive(
@@ -113,88 +124,51 @@ def lhv_solve_exhaustive(
     Canonical order: pairs sorted by (label, axis); assignment index counts
     up from the all-(+1) assignment, bit j flipping pair j to -1.
     """
-    pairs = _universe(constraints)
+    pairs, incidence, neg = _encode(constraints)
     k = len(pairs)
     if k > MAX_UNIVERSE:
         raise ValueError(f"LHV universe has {k} pairs, limit is {MAX_UNIVERSE}")
+    # a constraint holds iff the parity of its terms flipped to -1 is its sign bit
+    rows = [(inc, neg >> i & 1) for i, inc in enumerate(incidence)]
     for mask in range(2**k):
-        assignment = {pair: -1 if mask >> j & 1 else 1 for j, pair in enumerate(pairs)}
-        if all(c.evaluate(assignment) for c in constraints):
-            return True, assignment
+        if all((mask & inc).bit_count() & 1 == sbit for inc, sbit in rows):
+            return True, {pair: -1 if mask >> j & 1 else 1 for j, pair in enumerate(pairs)}
     return False, None
 
 
 def lhv_contradiction_certificate(
     constraints: Sequence[CorrelationConstraint],
 ) -> tuple[bool, tuple[int, ...]]:
-    """GF(2) elimination on term-incidence vectors with sign tracking.
+    """GF(2) elimination on term-incidence vectors.
 
     A dependent subset whose signs multiply to -1 certifies unsatisfiability
     (every outcome squares to +1, so the subset's product forces 1 = -1).
-    When the null space has at most 16 dimensions every dependency is
-    scanned and the subset returned is a smallest one (fewest constraints,
-    ties broken by the lower index bitmask).  Above that the scan is skipped
-    and the subset is the elimination's null-space basis vector with sign
-    -1 that has the fewest constraints: a valid certificate, but not
-    necessarily minimal, and it depends on the constraint order.  Returns
-    (False, ()) when the sign functional is +1 on the whole null space,
-    which happens exactly when the system is satisfiable.
+    A subset's sign is read off the parity of its -1 constraints.  When the
+    null space has at most 16 dimensions every dependency is visited, in
+    Gray-code order, and the subset returned is a smallest one (fewest
+    constraints, ties broken by the lower index bitmask).  Above that the
+    scan is skipped and the subset is the elimination's null-space basis
+    vector with sign -1 that has the fewest constraints: a valid certificate,
+    but not necessarily minimal, and it depends on the constraint order.
+    Returns (False, ()) when the sign functional is +1 on the whole null
+    space, which happens exactly when the system is satisfiable.
     """
-    pairs = _universe(constraints)
-    index = {pair: j for j, pair in enumerate(pairs)}
-    pivots: list[tuple[int, int, int]] = []  # (incidence, combo, signbit)
-    null_basis: list[tuple[int, int]] = []  # (combo, signbit)
-    for i, c in enumerate(constraints):
-        inc = 0
-        for term in c.terms:
-            inc |= 1 << index[term]
-        combo, sbit = 1 << i, 0 if c.sign > 0 else 1
-        for pinc, pcombo, psbit in pivots:
-            if inc >> (pinc.bit_length() - 1) & 1:
-                inc ^= pinc
-                combo ^= pcombo
-                sbit ^= psbit
-        if inc:
-            pivots.append((inc, combo, sbit))
-            pivots.sort(key=lambda row: -row[0].bit_length())
-        else:
-            null_basis.append((combo, sbit))
-
-    if not any(sbit for _, sbit in null_basis):
+    _, incidence, neg = _encode(constraints)
+    basis = _dependencies(incidence)
+    if not any((combo & neg).bit_count() & 1 for combo in basis):
         return False, ()
-    dim = len(null_basis)
-    best: tuple[int, int] | None = None  # (popcount, combo)
-    if dim <= _NULLSPACE_SCAN_CAP:
-        for pick in range(1, 2**dim):
-            combo = sbit = 0
-            for j in range(dim):
-                if pick >> j & 1:
-                    combo ^= null_basis[j][0]
-                    sbit ^= null_basis[j][1]
-            if sbit:
-                cand = (combo.bit_count(), combo)
-                if best is None or cand < best:
-                    best = cand
-    else:
-        for combo, sbit in null_basis:
-            if sbit:
-                cand = (combo.bit_count(), combo)
-                if best is None or cand < best:
-                    best = cand
-    assert best is not None
-    combo = best[1]
-    return True, tuple(i for i in range(len(constraints)) if combo >> i & 1)
+    combos = basis
+    if len(basis) <= _NULLSPACE_SCAN_CAP:
+        # step s of the Gray code flips the basis vector at s's lowest set bit
+        flips = (basis[(s & -s).bit_length() - 1] for s in range(1, 2 ** len(basis)))
+        combos = accumulate(flips, xor)
+    _, best = min((combo.bit_count(), combo) for combo in combos if (combo & neg).bit_count() & 1)
+    return True, tuple(i for i in range(len(constraints)) if best >> i & 1)
 
 
 def certificate_pauli_product(constraints: Sequence[CorrelationConstraint],
                               origins: Sequence[PauliString],
                               subset: Sequence[int]) -> tuple[PauliString, int]:
     """Product of the subset's origin Paulis and the subset's sign product."""
-    paulis = [origins[i] for i in subset]
-    product = paulis[0]
-    if len(paulis) > 1:
-        product = multiply(paulis[0], paulis[1], *paulis[2:])
-    sign_product = 1
-    for i in subset:
-        sign_product *= constraints[i].sign
-    return product, sign_product
+    product = multiply(*(origins[i] for i in subset))
+    return product, math.prod(constraints[i].sign for i in subset)

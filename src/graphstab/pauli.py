@@ -126,10 +126,10 @@ class PauliString:
         return multiply(self, other)
 
 
-def multiply(p: PauliString, q: PauliString, *more: PauliString) -> PauliString:
-    """Exact operator product, left to right, with accumulated phase."""
+def multiply(p: PauliString, *more: PauliString) -> PauliString:
+    """Exact operator product of one or more factors, left to right, with accumulated phase."""
     out = p
-    for factor in (q, *more):
+    for factor in more:
         if factor.n != out.n:
             raise ValueError("qubit counts differ")
         phase, x, z = _mul1(out.phase_exp, out.x, out.z,
@@ -145,24 +145,37 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
 
 
+def _dependencies(rows: Sequence[int]) -> list[int]:
+    """A basis of the GF(2) dependencies among `rows`, one per dependent row.
+
+    Each basis vector is a bitmask of row indices whose rows XOR to zero: a
+    row that reduces to zero against the rows before it, plus the earlier
+    independent rows it is the sum of.  Which rows are independent depends
+    only on row order, so the basis does not depend on the pivoting.
+    """
+    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (reduced row, combo)
+    basis = []
+    for i, row in enumerate(rows):
+        combo = 1 << i
+        while row:
+            msb = row.bit_length() - 1
+            if msb not in pivots:
+                pivots[msb] = (row, combo)
+                break
+            prow, pcombo = pivots[msb]
+            row ^= prow
+            combo ^= pcombo
+        else:
+            basis.append(combo)
+    return basis
+
+
 def independent(paulis: Sequence[PauliString]) -> bool:
     """True iff the (x||z) rows are linearly independent over GF(2)."""
     ns = {p.n for p in paulis}
     if len(ns) > 1:
         raise ValueError("qubit counts differ")
-    pivots: dict[int, int] = {}
-    for p in paulis:
-        row = (p.x << p.n) | p.z
-        while row:
-            msb = row.bit_length() - 1
-            if msb in pivots:
-                row ^= pivots[msb]
-            else:
-                pivots[msb] = row
-                break
-        else:
-            return False
-    return True
+    return not _dependencies([(p.x << p.n) | p.z for p in paulis])
 
 
 def conjugate_by_local(u: LocalUnitary, p: PauliString) -> PauliString:

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphstab import (CorrelationConstraint, Graph, PauliString, build_graph_state,
                        conjugate_set, constraint_from_pauli, graph_generators,
@@ -14,6 +16,45 @@ from graphstab.nonlocality import certificate_pauli_product
 from graphstab.states import StateVector
 
 QUBITS = reference.QUBITS
+
+
+@st.composite
+def systems(draw, max_labels=4, max_constraints=10):
+    labels = [f"q{i}" for i in range(draw(st.integers(1, max_labels)))]
+    axes = st.sampled_from(("x", "z", None))
+    constraints = []
+    for _ in range(draw(st.integers(0, max_constraints))):
+        picks = [(q, draw(axes)) for q in labels]
+        terms = tuple((q, axis) for q, axis in picks if axis)
+        constraints.append(CorrelationConstraint(terms, draw(st.sampled_from((1, -1)))))
+    return constraints
+
+
+def reference_exhaustive(constraints):
+    """One assignment dict per candidate, each constraint checked with evaluate."""
+    labels = sorted({q for c in constraints for q, _ in c.terms})
+    pairs = [(q, axis) for q in labels for axis in ("x", "z")]
+    for mask in range(2 ** len(pairs)):
+        assignment = {pair: -1 if mask >> j & 1 else 1 for j, pair in enumerate(pairs)}
+        if all(c.evaluate(assignment) for c in constraints):
+            return True, assignment
+    return False, None
+
+
+def reference_certificate(constraints):
+    """Smallest (size, index bitmask) subset whose terms cancel and signs multiply to -1."""
+    clashes = []
+    for mask in range(1, 2 ** len(constraints)):
+        picked = [c for i, c in enumerate(constraints) if mask >> i & 1]
+        terms: set = set()
+        for c in picked:
+            terms ^= set(c.terms)
+        if not terms and np.prod([c.sign for c in picked]) == -1:
+            clashes.append((len(picked), mask))
+    if not clashes:
+        return False, ()
+    _, mask = min(clashes)
+    return True, tuple(i for i in range(len(constraints)) if mask >> i & 1)
 
 
 def basis_state(index):
@@ -128,6 +169,12 @@ class TestExhaustiveSolver:
             lhv_solve_exhaustive(cs)
 
 
+@given(constraints=systems())
+def test_solvers_match_reference_scans(constraints):
+    assert lhv_solve_exhaustive(constraints) == reference_exhaustive(constraints)
+    assert lhv_contradiction_certificate(constraints) == reference_certificate(constraints)
+
+
 class TestCertificate:
     def test_reference_parity_clash(self, settings):
         constraints, _ = settings
@@ -150,6 +197,12 @@ class TestCertificate:
         c2 = CorrelationConstraint((("a", "x"),), -1)
         contradiction, subset = lhv_contradiction_certificate([c1, c2])
         assert contradiction and subset == (0, 1)
+
+    def test_basis_fallback_above_scan_cap(self):
+        # 18 constraints of rank 1: a 17-dimensional null space, past the scan cap
+        agree = CorrelationConstraint((("a", "x"),), 1)
+        clash = CorrelationConstraint((("a", "x"),), -1)
+        assert lhv_contradiction_certificate([agree] * 17 + [clash]) == (True, (0, 17))
 
     def test_agrees_with_exhaustive_on_all_reference_subsets(self, settings):
         constraints, _ = settings

@@ -8,6 +8,7 @@ from graphstab import (LocalUnitary, PauliString, commutes, conjugate_by_local,
                        independent, multiply)
 from graphstab import reference
 from graphstab.localops import pauli_rotation
+from graphstab.pauli import _dependencies
 
 from strategies import local_cliffords, paulis
 
@@ -54,6 +55,10 @@ class TestMultiply:
     def test_mismatched_size(self):
         with pytest.raises(ValueError, match="differ"):
             multiply(PauliString.identity(2), PauliString.identity(3))
+
+    @given(p=paulis())
+    def test_single_factor_is_itself(self, p):
+        assert multiply(p) == p
 
     @given(p=paulis(n=4), q=paulis(n=4), r=paulis(n=4))
     def test_associative(self, p, q, r):
@@ -102,6 +107,24 @@ class TestIndependent:
     def test_product_is_dependent(self, kbar_set):
         k = kbar_set.generators
         assert not independent([k[0], k[1], k[3], multiply(k[0], k[1], k[3])])
+
+
+@given(rows=st.lists(st.integers(0, 2**8 - 1), max_size=8))
+def test_dependencies_form_a_basis_of_the_row_dependencies(rows):
+    basis = _dependencies(rows)
+    subset_xors = []
+    for mask in range(2 ** len(rows)):
+        acc = 0
+        for i, row in enumerate(rows):
+            if mask >> i & 1:
+                acc ^= row
+        subset_xors.append(acc)
+    rank = len(set(subset_xors)).bit_length() - 1  # the span has 2^rank elements
+    for combo in basis:
+        assert combo and subset_xors[combo] == 0
+    assert len({combo.bit_length() for combo in basis}) == len(basis)  # independent combos
+    assert len(basis) == len(rows) - rank
+    assert (not basis) == (subset_xors.count(0) == 1)  # only the empty subset XORs to zero
 
 
 class TestConjugateByLocal:
