@@ -11,13 +11,14 @@ from collections import Counter
 
 from graphstab import apply_local, build_graph_state, enumerate_orbit, equal_up_to_global_phase
 from graphstab import reference
+from graphstab.cli import positive_int
 from graphstab.graphs import graph_from_dict
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("graph_file", nargs="?", help="graph JSON; default: built-in 4-cycle")
-    parser.add_argument("--max", type=int, default=None)
+    parser.add_argument("--max", type=positive_int, default=None)
     args = parser.parse_args()
 
     if args.graph_file:

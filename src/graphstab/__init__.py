@@ -7,7 +7,7 @@ the verification battery in ``verify`` cross-checks them.
 """
 
 from .entanglement import Bipartition, DensityMatrix, entropy, is_product_across, reduce
-from .graphs import Graph, QubitLabel, canonical_key, local_complement, neighbors
+from .graphs import Graph, canonical_key, local_complement, neighbors
 from .lc import (EquivalenceWitness, OrbitMember, OrbitReport, enumerate_orbit,
                  lc_search, tau_unitary)
 from .localops import LocalUnitary, single_qubit_cliffords
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Bipartition", "CorrelationConstraint", "DensityMatrix", "EquivalenceWitness",
     "Graph", "LocalUnitary", "OrbitMember", "OrbitReport", "PauliString",
-    "QubitLabel", "StabilizerSet", "StateVector", "VerificationReport",
+    "StabilizerSet", "StateVector", "VerificationReport",
     "apply_controlled_phase", "apply_local", "apply_pauli", "build_chi00",
     "build_graph_state", "canonical_key", "commutes", "conjugate_by_local",
     "conjugate_set", "constraint_from_pauli", "entropy", "enumerate_orbit",

@@ -13,14 +13,6 @@ MAX_VERTICES = 32  # adjacency rows must fit one machine word
 
 
 @dataclass(frozen=True)
-class QubitLabel:
-    """A named vertex/qubit with its fixed position in ket order."""
-
-    name: str
-    position: int
-
-
-@dataclass(frozen=True)
 class Graph:
     """Immutable labeled simple graph.
 
@@ -70,6 +62,14 @@ class Graph:
         return cls(names, tuple(rows))
 
     @classmethod
+    def _trusted(cls, names: tuple[str, ...], rows: tuple[int, ...]) -> "Graph":
+        """A graph from fields already known to be valid, without re-checking them."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "names", names)
+        object.__setattr__(g, "rows", rows)
+        return g
+
+    @classmethod
     def empty(cls, names: Iterable[str]) -> "Graph":
         return cls.from_edges(names, [])
 
@@ -77,18 +77,11 @@ class Graph:
     def n(self) -> int:
         return len(self.names)
 
-    @property
-    def qubits(self) -> tuple[QubitLabel, ...]:
-        return tuple(QubitLabel(name, i) for i, name in enumerate(self.names))
-
     def position(self, name: str) -> int:
         try:
             return self.names.index(name)
         except ValueError:
             raise ValueError(f"unknown qubit label {name!r}") from None
-
-    def degree(self, a: str) -> int:
-        return self.rows[self.position(a)].bit_count()
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """Edges as name pairs, ordered by position (i < j, row-major)."""
@@ -113,10 +106,13 @@ def local_complement(g: Graph, a: str) -> Graph:
     """Toggle every edge between two neighbors of `a`; everything else unchanged."""
     nb = g.rows[g.position(a)]
     rows = list(g.rows)
-    for i in range(g.n):
-        if nb >> i & 1:
-            rows[i] ^= nb & ~(1 << i)
-    return Graph(g.names, tuple(rows))
+    rest = nb
+    while rest:  # one pass per neighbor, lowest bit first
+        low = rest & -rest
+        rows[low.bit_length() - 1] ^= nb ^ low
+        rest ^= low
+    # a symmetric toggle of a valid graph's rows, clear of the diagonal, is valid
+    return Graph._trusted(g.names, tuple(rows))
 
 
 def canonical_key(g: Graph) -> int:

@@ -1,6 +1,12 @@
 """Local-complementation unitaries, LC-orbit enumeration, and brute-force
 local-Clifford equivalence search between dense states.
 
+An orbit is a breadth-first closure deduplicated by adjacency rows.  Its
+optional dense check contracts the stacked witnesses into the seed state one
+qubit at a time and compares them with the members' graph states, built from
+the parity of the adjacency quadratic form, in batches of at most 2^12
+amplitudes.
+
 The search space per qubit is the canonical (24, 2, 2) Clifford stack from
 :mod:`graphstab.localops`; assignments are scanned in lexicographic order
 over positions, so witnesses are deterministic across runs.  The scan fixes
@@ -16,16 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, canonical_key, local_complement
+from .graphs import Graph, local_complement
 from .localops import ATOL, MAX_QUBITS, LocalUnitary, pauli_rotation, single_qubit_cliffords
-from .states import (StateVector, _apply_factor, apply_local, build_graph_state,
-                     equal_up_to_global_phase)
+from .states import StateVector, _apply_factor
 
 MAX_SEARCH_QUBITS = 6
 _BATCH_TAIL = 3  # qubits handled by one fully vectorized block
 _TAU_VERTEX = pauli_rotation("X", math.pi / 4)
-_TAU_NEIGHBOR = pauli_rotation("Z", -math.pi / 4)
+_TAU_FACTORS = np.array([np.eye(2), pauli_rotation("Z", -math.pi / 4)], dtype=complex)
+_TAU_FACTORS.setflags(write=False)  # indexed by neighbor bit: identity, e^{-i pi/4 Z}
 _TAU_PHASE = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
+_DENSE_CHUNK = 1 << 12  # amplitudes per batch of the orbit's dense check
 
 
 def tau_unitary(g: Graph, a: str) -> LocalUnitary:
@@ -37,12 +44,11 @@ def tau_unitary(g: Graph, a: str) -> LocalUnitary:
     phase (i * e^{-i pi deg(a)/4}) otherwise.
     """
     pos = g.position(a)
-    placed = {pos: _TAU_VERTEX}
     row = g.rows[pos]
-    for j in range(g.n):
-        if row >> j & 1:
-            placed[j] = _TAU_NEIGHBOR
-    return LocalUnitary.embed(g.n, placed, _TAU_PHASE)
+    factors = _TAU_FACTORS[[row >> j & 1 for j in range(g.n)]]
+    factors[pos] = _TAU_VERTEX
+    factors.setflags(write=False)
+    return LocalUnitary._trusted(_TAU_PHASE, factors)
 
 
 @dataclass(frozen=True)
@@ -63,10 +69,12 @@ def enumerate_orbit(seed: Graph, max_members: int | None = None,
                     verify: bool | None = None) -> OrbitReport:
     """Breadth-first closure of `seed` under local complementation.
 
-    Members are deduplicated by canonical key and each carries the composed
-    witness unitary plus the complementation path (first move first).  When
-    `verify` is true (default for n <= 6) every witness is checked against
-    the dense engine, up to global phase.
+    Members are deduplicated by their adjacency rows (equal rows are equal
+    edge sets, since every member shares the seed's label order) and each
+    carries the composed witness unitary plus the complementation path (first
+    move first).  When `verify` is true (default for n <= 6) every witness is
+    checked against the dense engine, up to global phase, in batches of at
+    most 2^12 amplitudes.
     """
     if seed.n > MAX_QUBITS:
         raise ValueError(f"orbit enumeration limited to {MAX_QUBITS} vertices")
@@ -76,20 +84,19 @@ def enumerate_orbit(seed: Graph, max_members: int | None = None,
         verify = seed.n <= MAX_SEARCH_QUBITS
 
     members = [OrbitMember(seed, LocalUnitary.identity(seed.n), ())]
-    seen = {canonical_key(seed)}
+    seen = {seed.rows}
     queue = deque(members)
     truncated = False
     while queue and not truncated:
         parent = queue.popleft()
         for a in seed.names:
             child = local_complement(parent.graph, a)
-            key = canonical_key(child)
-            if key in seen:
+            if child.rows in seen:
                 continue
             if max_members is not None and len(members) >= max_members:
                 truncated = True
                 break
-            seen.add(key)
+            seen.add(child.rows)
             witness = tau_unitary(parent.graph, a).compose(parent.witness)
             member = OrbitMember(child, witness, parent.path + (a,))
             members.append(member)
@@ -101,13 +108,44 @@ def enumerate_orbit(seed: Graph, max_members: int | None = None,
     return report
 
 
+def _graph_state_amps(graphs: list[Graph]) -> np.ndarray:
+    """Real (M, 2^n) amplitudes of the graph states of M graphs on n vertices.
+
+    Amplitude x is 2^{-n/2} (-1)^{q(x)}, where q(x) counts the edges with
+    both ends set in x (position 0 the most significant bit of x).
+    """
+    n = graphs[0].n
+    shifts = np.arange(n)
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - shifts)) & 1  # (2^n, n)
+    rows = np.array([g.rows for g in graphs], dtype=np.int64)
+    upper = np.triu((rows[:, :, None] >> shifts) & 1, 1).astype(float)  # (M, n, n)
+    edges_in_x = ((bits @ upper) * bits).sum(axis=2)  # (M, 2^n), exact small integers
+    return (1 - 2 * (edges_in_x % 2)) * 2 ** (-n / 2)
+
+
+def _dense_overlaps(seed_amps: np.ndarray, members: tuple[OrbitMember, ...]) -> np.ndarray:
+    """<member graph state| witness |seed> for each member, as one batch."""
+    n = members[0].graph.n
+    m = len(members)
+    factors = np.stack([member.witness.factors for member in members])  # (M, n, 2, 2)
+    images = np.broadcast_to(seed_amps.astype(complex), (m, 2**n))
+    for q in range(n):
+        blocks = images.reshape(m, 2**q, 2, -1)
+        images = (factors[:, q, None] @ blocks).reshape(m, -1)
+    images = images * np.array([member.witness.global_phase for member in members])[:, None]
+    return np.einsum("mx,mx->m", _graph_state_amps([member.graph for member in members]), images)
+
+
 def _verify_orbit(report: OrbitReport) -> None:
-    seed_state = build_graph_state(report.seed)
-    for member in report.members:
-        got = apply_local(member.witness, seed_state)
-        want = build_graph_state(member.graph)
-        if not equal_up_to_global_phase(got, want):
-            raise RuntimeError(f"orbit witness for path {member.path} failed the dense check")
+    """Raise RuntimeError naming the first member whose witness fails the dense check."""
+    seed_amps = _graph_state_amps([report.seed])[0]
+    chunk = max(1, _DENSE_CHUNK >> report.seed.n)
+    for start in range(0, len(report.members), chunk):
+        batch = report.members[start:start + chunk]
+        bad = np.flatnonzero(~(np.abs(np.abs(_dense_overlaps(seed_amps, batch)) - 1.0) <= ATOL))
+        if len(bad):
+            path = batch[bad[0]].path
+            raise RuntimeError(f"orbit witness for path {path} failed the dense check")
 
 
 @dataclass(frozen=True)

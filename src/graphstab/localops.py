@@ -58,6 +58,15 @@ class LocalUnitary:
         object.__setattr__(self, "global_phase", complex(self.global_phase))
 
     @classmethod
+    def _trusted(cls, global_phase: complex, factors: np.ndarray) -> "LocalUnitary":
+        """A unitary from a unit complex phase and a read-only complex (n, 2, 2)
+        stack of unitary factors, taken as they are without re-checking."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "global_phase", global_phase)
+        object.__setattr__(u, "factors", factors)
+        return u
+
+    @classmethod
     def identity(cls, n: int) -> "LocalUnitary":
         return cls(1.0, np.tile(PAULI_MATS["I"], (n, 1, 1)))
 
@@ -79,10 +88,14 @@ class LocalUnitary:
         """self applied after other (operator product self @ other)."""
         if self.n != other.n:
             raise ValueError("qubit counts differ")
-        return LocalUnitary(self.global_phase * other.global_phase, self.factors @ other.factors)
+        factors = self.factors @ other.factors  # products of checked factors are unitary
+        factors.setflags(write=False)
+        return LocalUnitary._trusted(self.global_phase * other.global_phase, factors)
 
     def inverse(self) -> "LocalUnitary":
-        return LocalUnitary(self.global_phase.conjugate(), self.factors.conj().swapaxes(1, 2))
+        factors = np.ascontiguousarray(self.factors.conj().swapaxes(1, 2))
+        factors.setflags(write=False)
+        return LocalUnitary._trusted(self.global_phase.conjugate(), factors)
 
     def dense(self) -> np.ndarray:
         """Full 2^n x 2^n matrix, n <= MAX_QUBITS."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -91,6 +92,22 @@ class TestVerifyAllCommand:
         _, first, _ = run(capsys, "verify-all", "--json")
         _, second, _ = run(capsys, "verify-all", "--json")
         assert first == second
+
+
+class TestOutputPins:
+    """SHA-256 of outputs that stay byte-identical while the code beneath them changes."""
+
+    def test_verify_all_json(self, capsys):
+        code, out, _ = run(capsys, "verify-all", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6237ace7e8593145bc47a770ddc4b40f1c16d511a225cc014f768628e31b9df3")
+
+    def test_orbit_of_paper_cycle(self, capsys, graph_file):
+        code, out, _ = run(capsys, "orbit", graph_file)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ed11c0c25f821f6f94122f58141d14ec8edc0802d73584ef1c9ea01791bfd99c")
 
 
 class TestStateBuild:

@@ -34,7 +34,7 @@ class TestConstruction:
             Graph.empty(names)
 
     def test_positions_follow_declaration_order(self, graph_a):
-        assert [q.position for q in graph_a.qubits] == [0, 1, 2, 3]
+        assert [graph_a.position(a) for a in graph_a.names] == [0, 1, 2, 3]
         assert graph_a.position("B1") == 2
         with pytest.raises(ValueError, match="'Q9'"):
             graph_a.position("Q9")
@@ -80,8 +80,13 @@ class TestLocalComplement:
         a = data.draw(st.sampled_from(g.names))
         out = local_complement(g, a)
         assert out.names == g.names
-        assert out.degree(a) == g.degree(a)
+        assert out.rows[out.position(a)].bit_count() == g.rows[g.position(a)].bit_count()
         assert neighbors(out, a) == neighbors(g, a)
+
+    @given(data=st.data(), g=graphs(max_n=12))
+    def test_output_passes_the_validating_constructor(self, data, g):
+        out = local_complement(g, data.draw(st.sampled_from(g.names)))
+        assert Graph(out.names, out.rows) == out
 
     @given(data=st.data(), g=graphs(max_n=8))
     def test_toggles_exactly_the_neighborhood_pairs(self, data, g):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 from functools import lru_cache
 
@@ -11,6 +12,9 @@ from hypothesis import strategies as st
 from graphstab import (Graph, LocalUnitary, apply_local, build_chi00, build_graph_state,
                        canonical_key, enumerate_orbit, equal_up_to_global_phase, lc_search,
                        local_complement, single_qubit_cliffords, tau_unitary)
+from graphstab.lc import (OrbitMember, OrbitReport, _DENSE_CHUNK, _dense_overlaps,
+                          _graph_state_amps, _verify_orbit)
+from graphstab.localops import PAULI_MATS, pauli_rotation
 from graphstab.states import StateVector, allclose, max_residual, overlap
 
 from strategies import graphs, local_cliffords, random_states
@@ -101,8 +105,35 @@ class TestTauUnitary:
             got = apply_local(tau_unitary(g, a), build_graph_state(g))
             want = build_graph_state(local_complement(g, a))
             ratio = overlap(want, got)
-            predicted = 1j * np.exp(-1j * math.pi * g.degree(a) / 4)
+            predicted = 1j * np.exp(-1j * math.pi * g.rows[g.position(a)].bit_count() / 4)
             assert abs(ratio - predicted) < 1e-9
+
+
+def tau_unitary_reference(g: Graph, a: str) -> LocalUnitary:
+    """tau_unitary built through the validating `embed` constructor."""
+    pos = g.position(a)
+    placed = {pos: pauli_rotation("X", math.pi / 4)}
+    for j in range(g.n):
+        if g.rows[pos] >> j & 1:
+            placed[j] = pauli_rotation("Z", -math.pi / 4)
+    return LocalUnitary.embed(g.n, placed, complex(math.cos(math.pi / 4), math.sin(math.pi / 4)))
+
+
+class TestTrustedConstructors:
+    @given(data=st.data(), g=graphs(max_n=12))
+    def test_results_pass_the_validating_constructor(self, data, g):
+        a = data.draw(st.sampled_from(g.names))
+        tau = tau_unitary(g, a)
+        want = tau_unitary_reference(g, a)
+        assert tau.global_phase == want.global_phase
+        assert tau.factors.tobytes() == want.factors.tobytes()
+        other = data.draw(local_cliffords(g.n))
+        for u in (tau, tau.compose(other), other.compose(tau), tau.inverse(),
+                  tau.compose(other).inverse()):
+            assert not u.factors.flags.writeable
+            checked = LocalUnitary(u.global_phase, u.factors)
+            assert checked.global_phase == u.global_phase
+            assert checked.factors.tobytes() == u.factors.tobytes()
 
 
 class TestEnumerateOrbit:
@@ -160,6 +191,65 @@ class TestEnumerateOrbit:
         g = Graph.empty(tuple(f"q{i}" for i in range(13)))
         with pytest.raises(ValueError, match="12"):
             enumerate_orbit(g)
+
+
+def ring(n: int) -> Graph:
+    names = tuple(f"r{i}" for i in range(n))
+    return Graph.from_edges(names, [(names[i], names[(i + 1) % n]) for i in range(n)])
+
+
+def with_tampered_witness(report: OrbitReport, index: int) -> OrbitReport:
+    """The report with Z applied after the first factor of one member's witness."""
+    m = report.members[index]
+    factors = m.witness.factors.copy()
+    factors[0] = PAULI_MATS["Z"] @ factors[0]
+    bad = OrbitMember(m.graph, LocalUnitary(m.witness.global_phase, factors), m.path)
+    members = report.members[:index] + (bad,) + report.members[index + 1:]
+    return OrbitReport(report.seed, members, report.truncated)
+
+
+def dense_check_reference(seed: Graph, members) -> list[tuple[complex, bool]]:
+    """The per-member check the batched one replaced: (overlap, passed) per member."""
+    seed_state = build_graph_state(seed)
+    out = []
+    for member in members:
+        got = apply_local(member.witness, seed_state)
+        want = build_graph_state(member.graph)
+        out.append((overlap(want, got), equal_up_to_global_phase(got, want)))
+    return out
+
+
+class TestDenseCheck:
+    def test_tampered_member_of_paper_cycle_is_named(self, graph_a):
+        report = enumerate_orbit(graph_a)
+        path = report.members[5].path
+        with pytest.raises(RuntimeError) as exc:
+            _verify_orbit(with_tampered_witness(report, 5))
+        assert str(exc.value) == f"orbit witness for path {path} failed the dense check"
+
+    def test_tampered_member_past_the_first_chunk_is_named(self):
+        report = enumerate_orbit(ring(7), verify=True)
+        index = (_DENSE_CHUNK >> 7) + 5  # the check batches 2^12 / 2^7 members at a time
+        assert index < len(report.members)
+        path = report.members[index].path
+        with pytest.raises(RuntimeError) as exc:
+            _verify_orbit(with_tampered_witness(report, index))
+        assert str(exc.value) == f"orbit witness for path {path} failed the dense check"
+
+    @given(data=st.data(), g=graphs(max_n=7))
+    def test_batch_matches_per_member_loop(self, data, g):
+        members = enumerate_orbit(g, max_members=40, verify=False).members
+        amps = _graph_state_amps([m.graph for m in members])
+        for row, m in zip(amps, members):
+            assert np.array_equal(row, build_graph_state(m.graph).amps)
+        # pair witnesses with other members' graphs too, so failing overlaps are compared
+        order = data.draw(st.permutations(range(len(members))))
+        paired = [OrbitMember(members[k].graph, m.witness, m.path) for k, m in zip(order, members)]
+        seed_amps = _graph_state_amps([g])[0]
+        got = _dense_overlaps(seed_amps, tuple(paired))
+        for ov, (want, passed) in zip(got, dense_check_reference(g, paired)):
+            assert abs(ov - want) <= 1e-12
+            assert (abs(abs(ov) - 1.0) <= 1e-9) == passed
 
 
 def _named_rows(g: Graph):
