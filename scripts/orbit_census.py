@@ -6,28 +6,17 @@ prints one line per member with its path and edge list, and re-verifies
 every witness against the dense engine.
 """
 import argparse
-import json
 from collections import Counter
 
 from graphstab import apply_local, build_graph_state, enumerate_orbit, equal_up_to_global_phase
 from graphstab import reference
-from graphstab.cli import positive_int
+from graphstab.cli import load, positive_int
 from graphstab.graphs import graph_from_dict
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("graph_file", nargs="?", help="graph JSON; default: built-in 4-cycle")
-    parser.add_argument("--max", type=positive_int, default=None)
-    args = parser.parse_args()
-
-    if args.graph_file:
-        with open(args.graph_file) as fh:
-            seed = graph_from_dict(json.load(fh))
-    else:
-        seed = reference.graph_a()
-
-    report = enumerate_orbit(seed, max_members=args.max)
+def census(graph_file: str | None, max_members: int | None) -> None:
+    seed = load(graph_file, graph_from_dict) if graph_file else reference.graph_a()
+    report = enumerate_orbit(seed, max_members=max_members)
     seed_state = build_graph_state(seed)
     print(f"seed edges: {list(seed.edges())}")
     print(f"orbit size: {len(report.members)}  truncated: {report.truncated}")
@@ -39,6 +28,17 @@ def main() -> None:
               f"witness={'ok' if ok else 'BAD'}  {list(member.graph.edges())}")
     hist = Counter(m.graph.edge_count() for m in report.members)
     print(f"edge-count histogram: {dict(sorted(hist.items()))}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("graph_file", nargs="?", help="graph JSON; default: built-in 4-cycle")
+    parser.add_argument("--max", type=positive_int, default=None)
+    args = parser.parse_args()
+    try:
+        census(args.graph_file, args.max)
+    except ValueError as exc:  # an unreadable or invalid graph file: exit 2, as the CLI does
+        parser.exit(2, f"{parser.prog}: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ the verification battery in ``verify`` cross-checks them.
 """
 
 from .entanglement import Bipartition, DensityMatrix, entropy, is_product_across, reduce
-from .graphs import Graph, canonical_key, local_complement, neighbors
+from .graphs import Graph, canonical_key, local_complement
 from .lc import (EquivalenceWitness, OrbitMember, OrbitReport, enumerate_orbit,
                  lc_search, tau_unitary)
 from .localops import LocalUnitary, single_qubit_cliffords
@@ -32,7 +32,7 @@ __all__ = [
     "conjugate_set", "constraint_from_pauli", "entropy", "enumerate_orbit",
     "equal_up_to_global_phase", "expectation", "graph_generators", "independent",
     "is_product_across", "lc_search", "lhv_contradiction_certificate",
-    "lhv_solve_exhaustive", "local_complement", "multiply", "neighbors",
+    "lhv_solve_exhaustive", "local_complement", "multiply",
     "quantum_check", "reduce", "single_qubit_cliffords", "stabilizes",
     "tau_unitary", "verify_all",
 ]

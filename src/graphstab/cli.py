@@ -22,7 +22,7 @@ from .verify import verify_all
 T = TypeVar("T")
 
 
-def _load(path: str, parse: Callable[[object], T]) -> T:
+def load(path: str, parse: Callable[[object], T]) -> T:
     """Read, decode and parse one JSON file; every failure is a ValueError naming `path`."""
     try:
         return parse(json.loads(Path(path).read_bytes()))
@@ -53,13 +53,13 @@ def _cmd_state(args: argparse.Namespace) -> int:
     else:
         if args.graph_file is None:
             raise ValueError("state build graph requires a graph JSON file")
-        state = build_graph_state(_load(args.graph_file, graph_from_dict))
+        state = build_graph_state(load(args.graph_file, graph_from_dict))
     _emit(state_to_dict(state))
     return 0
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
-    report = enumerate_orbit(_load(args.graph_file, graph_from_dict), max_members=args.max)
+    report = enumerate_orbit(load(args.graph_file, graph_from_dict), max_members=args.max)
     if args.format == "dot":
         blocks = []
         for i, member in enumerate(report.members):
@@ -83,7 +83,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
-    state = _load(args.state_file, state_from_dict)
+    state = load(args.state_file, state_from_dict)
     cut = Bipartition.of(state, tuple(name for name in args.cut.split(",") if name))
     rho = reduce(state, cut)
     _emit({
@@ -121,8 +121,8 @@ def _cmd_ghz_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_lc_search(args: argparse.Namespace) -> int:
-    source = _load(args.source, state_from_dict)
-    witness = lc_search(source, _load(args.target, state_from_dict))
+    source = load(args.source, state_from_dict)
+    witness = lc_search(source, load(args.target, state_from_dict))
     if not witness.found:
         _emit({"found": False})
         return 1

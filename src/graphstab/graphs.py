@@ -2,12 +2,14 @@
 
 Vertices carry string labels and a fixed position (0..n-1); every bit and
 ket convention downstream keys off the position, with position 0 the most
-significant bit.  Adjacency is stored as one bitmask per vertex.
+significant bit.  Adjacency is stored as one bitmask per vertex; the orbit
+enumeration in :mod:`graphstab.lc` packs a graph's rows into one int, n bits
+per row, and applies local complementation to that int as one XOR mask.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 32  # adjacency rows must fit one machine word
 
@@ -96,21 +98,42 @@ class Graph:
         return sum(row.bit_count() for row in self.rows) // 2
 
 
-def neighbors(g: Graph, a: str) -> frozenset[str]:
-    """Vertices adjacent to `a`."""
-    row = g.rows[g.position(a)]
-    return frozenset(g.names[j] for j in range(g.n) if row >> j & 1)
+def _neighbor_toggles(nb: int) -> Iterator[tuple[int, int]]:
+    """(j, mask) per neighbor j in the mask `nb`, lowest first: local
+    complementation at a vertex with neighbors `nb` XORs row j with `mask`."""
+    rest = nb
+    while rest:
+        low = rest & -rest
+        yield low.bit_length() - 1, nb ^ low
+        rest ^= low
+
+
+def _packed_toggle(nb: int, n: int) -> int:
+    """The XOR mask of local complementation at a vertex with neighbors `nb`,
+    on rows packed n bits apiece (see :func:`_pack`)."""
+    return sum(mask << n * j for j, mask in _neighbor_toggles(nb))
+
+
+def _pack(rows: tuple[int, ...], n: int) -> int:
+    """Adjacency rows of an n-vertex graph as one int, row i at bits n*i .. n*i + n - 1."""
+    key = 0
+    for i, row in enumerate(rows):
+        key |= row << n * i
+    return key
+
+
+def _unpack(key: int, n: int, values: Sequence[int]) -> tuple[int, ...]:
+    """Inverse of :func:`_pack`, taking row value r as the object `values[r]`,
+    so that every graph unpacked through one tuple of values shares its ints."""
+    full = (1 << n) - 1
+    return tuple([values[key >> shift & full] for shift in range(0, n * n, n)])
 
 
 def local_complement(g: Graph, a: str) -> Graph:
     """Toggle every edge between two neighbors of `a`; everything else unchanged."""
-    nb = g.rows[g.position(a)]
     rows = list(g.rows)
-    rest = nb
-    while rest:  # one pass per neighbor, lowest bit first
-        low = rest & -rest
-        rows[low.bit_length() - 1] ^= nb ^ low
-        rest ^= low
+    for j, mask in _neighbor_toggles(g.rows[g.position(a)]):
+        rows[j] ^= mask
     # a symmetric toggle of a valid graph's rows, clear of the diagonal, is valid
     return Graph._trusted(g.names, tuple(rows))
 

@@ -1,7 +1,7 @@
 import itertools
 import math
 import re
-from collections import Counter
+from collections import Counter, deque
 from functools import lru_cache
 
 import numpy as np
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from graphstab import (Graph, LocalUnitary, apply_local, build_chi00, build_graph_state,
                        canonical_key, enumerate_orbit, equal_up_to_global_phase, lc_search,
                        local_complement, single_qubit_cliffords, tau_unitary)
+from graphstab import lc
 from graphstab.lc import (OrbitMember, OrbitReport, _DENSE_CHUNK, _dense_overlaps,
                           _graph_state_amps, _verify_orbit)
 from graphstab.localops import PAULI_MATS, pauli_rotation
@@ -198,6 +199,63 @@ def ring(n: int) -> Graph:
     return Graph.from_edges(names, [(names[i], names[(i + 1) % n]) for i in range(n)])
 
 
+def enumerate_orbit_reference(seed: Graph, max_members=None):
+    """(members, truncated) of the per-member BFS the level-synchronous one
+    replaced: a built `local_complement` per move, dedup on its rows, and
+    `tau_unitary(...).compose(parent.witness)` per new member."""
+    members = [OrbitMember(seed, LocalUnitary.identity(seed.n), ())]
+    seen = {seed.rows}
+    queue = deque(members)
+    truncated = False
+    while queue and not truncated:
+        parent = queue.popleft()
+        for a in seed.names:
+            child = local_complement(parent.graph, a)
+            if child.rows in seen:
+                continue
+            if max_members is not None and len(members) >= max_members:
+                truncated = True
+                break
+            seen.add(child.rows)
+            witness = tau_unitary(parent.graph, a).compose(parent.witness)
+            member = OrbitMember(child, witness, parent.path + (a,))
+            members.append(member)
+            queue.append(member)
+    return members, truncated
+
+
+def assert_same_as_reference(g: Graph, cap) -> None:
+    report = enumerate_orbit(g, max_members=cap, verify=False)
+    want, truncated = enumerate_orbit_reference(g, cap)
+    assert report.truncated == truncated
+    assert [m.graph.rows for m in report.members] == [m.graph.rows for m in want]
+    for got, ref in zip(report.members, want):
+        assert got.graph.names == g.names
+        assert got.path == ref.path
+        assert got.witness.global_phase == ref.witness.global_phase
+        assert got.witness.factors.tobytes() == ref.witness.factors.tobytes()
+        assert not got.witness.factors.flags.writeable
+
+
+class TestLevelSynchronousOrbit:
+    @given(g=graphs(max_n=8), cap=st.one_of(st.none(), st.integers(1, 400)))
+    def test_matches_per_member_bfs(self, g, cap):
+        assert_same_as_reference(g, cap)
+
+    @given(g=graphs(max_n=8), cap=st.one_of(st.none(), st.integers(1, 400)))
+    def test_matches_per_member_bfs_across_small_blocks(self, g, cap):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lc, "_LEVEL_BLOCK", 3)
+            assert_same_as_reference(g, cap)
+
+    @pytest.mark.parametrize("n, size", [(6, 372), (8, 2_932), (10, 22_484)])
+    def test_ring_orbit_sizes(self, n, size):
+        report = enumerate_orbit(ring(n), verify=False if n > 8 else None)
+        assert not report.truncated
+        assert len(report.members) == size
+        assert len({m.graph.rows for m in report.members}) == size
+
+
 def with_tampered_witness(report: OrbitReport, index: int) -> OrbitReport:
     """The report with Z applied after the first factor of one member's witness."""
     m = report.members[index]
@@ -206,6 +264,11 @@ def with_tampered_witness(report: OrbitReport, index: int) -> OrbitReport:
     bad = OrbitMember(m.graph, LocalUnitary(m.witness.global_phase, factors), m.path)
     members = report.members[:index] + (bad,) + report.members[index + 1:]
     return OrbitReport(report.seed, members, report.truncated)
+
+
+def verify_report(report: OrbitReport) -> None:
+    """_verify_orbit on the report's witnesses."""
+    _verify_orbit(report.seed, report.members, np.stack([m.witness.factors for m in report.members]))
 
 
 def dense_check_reference(seed: Graph, members) -> list[tuple[complex, bool]]:
@@ -224,7 +287,7 @@ class TestDenseCheck:
         report = enumerate_orbit(graph_a)
         path = report.members[5].path
         with pytest.raises(RuntimeError) as exc:
-            _verify_orbit(with_tampered_witness(report, 5))
+            verify_report(with_tampered_witness(report, 5))
         assert str(exc.value) == f"orbit witness for path {path} failed the dense check"
 
     def test_tampered_member_past_the_first_chunk_is_named(self):
@@ -233,8 +296,19 @@ class TestDenseCheck:
         assert index < len(report.members)
         path = report.members[index].path
         with pytest.raises(RuntimeError) as exc:
-            _verify_orbit(with_tampered_witness(report, index))
+            verify_report(with_tampered_witness(report, index))
         assert str(exc.value) == f"orbit witness for path {path} failed the dense check"
+
+    def test_enumeration_checks_every_member(self, monkeypatch):
+        # e^{-i pi/4 X} on the complemented vertex is off by X there, so every
+        # member past the seed carries a wrong witness
+        wrong = np.array(lc._TAU_STACK)
+        wrong[2] = pauli_rotation("X", -math.pi / 4)
+        monkeypatch.setattr(lc, "_TAU_STACK", wrong)
+        assert len(enumerate_orbit(ring(6), verify=False).members) == 372
+        with pytest.raises(RuntimeError) as exc:
+            enumerate_orbit(ring(6))
+        assert str(exc.value) == "orbit witness for path ('r0',) failed the dense check"
 
     @given(data=st.data(), g=graphs(max_n=7))
     def test_batch_matches_per_member_loop(self, data, g):
@@ -246,7 +320,7 @@ class TestDenseCheck:
         order = data.draw(st.permutations(range(len(members))))
         paired = [OrbitMember(members[k].graph, m.witness, m.path) for k, m in zip(order, members)]
         seed_amps = _graph_state_amps([g])[0]
-        got = _dense_overlaps(seed_amps, tuple(paired))
+        got = _dense_overlaps(seed_amps, paired, np.stack([m.witness.factors for m in paired]))
         for ov, (want, passed) in zip(got, dense_check_reference(g, paired)):
             assert abs(ov - want) <= 1e-12
             assert (abs(abs(ov) - 1.0) <= 1e-9) == passed

@@ -1,3 +1,4 @@
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -32,3 +33,19 @@ class TestOrbitCensus:
         assert out == ""
         assert err.startswith("usage: orbit_census.py")
         assert f"argument --max: expected a positive integer, got '{bad}'" in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"vertices": ["a", "b"], "edges": [["a", "a"]]}, "self-loop on 'a'"),
+        ({"vertices": [f"q{i}" for i in range(13)], "edges": []}, "limited to 12 vertices"),
+        (None, "No such file or directory"),
+    ])
+    def test_bad_graph_file_exits_2(self, monkeypatch, capsys, tmp_path, doc, message):
+        path = tmp_path / "graph.json"
+        if doc is not None:
+            path.write_text(json.dumps(doc))
+        code, out, err = run_script(monkeypatch, capsys, ORBIT_CENSUS, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("orbit_census.py: ")
+        assert message in err
+        assert err.count("\n") == 1
