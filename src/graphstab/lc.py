@@ -16,9 +16,15 @@ in batches of at most 2^12 amplitudes.
 The search space per qubit is the canonical (24, 2, 2) Clifford stack from
 :mod:`graphstab.localops`; assignments are scanned in lexicographic order
 over positions, so witnesses are deterministic across runs.  The scan fixes
-leading qubits by recursion and covers the last three in chunks of 24^3
-candidates, contracted with the stack factor by factor (a few hundred KB of
-working memory per chunk).  Witnesses are :class:`LocalUnitary` objects.
+leading qubits by recursion and covers the last three in leaves of 24^3
+candidates (a few hundred KB of working memory per leaf).  A leaf contracts
+its overlap block with the stack, reshaped to (24, 4), by one matrix
+product per tail qubit over axis orders fixed once per search: the products
+np.tensordot would form, so the overlaps are the same to the bit.  It then
+takes their magnitudes once and is left at once when the largest is below
+1 - ATOL, since no candidate can then be within ATOL of 1; only the other
+leaves are compared entry by entry for the first hit.  Witnesses are
+:class:`LocalUnitary` objects.
 """
 from __future__ import annotations
 
@@ -218,33 +224,49 @@ def lc_search(source: StateVector, target: StateVector) -> EquivalenceWitness:
 
     Returns the first match in canonical (lexicographic) enumeration order,
     with the witness global phase fixed so the map is exact, or found=False
-    after all 24^n candidates.
+    after all 24^n candidates.  Both states must list the same labels in the
+    same order, since amplitudes are compared by position.
 
     The leading n - 3 qubits are fixed one Clifford at a time by recursion;
-    the last min(n, 3) are scanned together, in chunks of 24^3 candidates.  A
-    chunk contracts the overlap block of target and source on those qubits
-    with the 24 Cliffords factor by factor, last qubit first, so there is no
-    precomputed table and a chunk's working memory is a few hundred KB.
+    the last min(n, 3) are scanned together, in leaves of 24^3 candidates.  A
+    leaf contracts the overlap block of target and source on those qubits
+    with the 24 Cliffords factor by factor, last qubit first: each step is
+    one matrix product of the (24, 4) Clifford stack with the block's axes
+    moved into a fixed order, so there is no precomputed table and a leaf's
+    working memory is a few hundred KB.  A leaf whose largest overlap
+    magnitude is below 1 - ATOL cannot hold a hit and is left at once.
     """
     if source.n != target.n:
         raise ValueError("qubit counts differ")
+    if source.names != target.names:
+        raise ValueError(f"qubit orders differ: {source.names} and {target.names}")
     n = source.n
     if n > MAX_SEARCH_QUBITS:
         raise ValueError(f"search limited to {MAX_SEARCH_QUBITS} qubits (24^n candidates)")
     cliffs = single_qubit_cliffords()
+    stack = cliffs.reshape(24, 4)
     t = min(n, _BATCH_TAIL)
-    target_block = target.amps.reshape(2 ** (n - t), 2**t)
+    target_adj = target.amps.reshape(2 ** (n - t), 2**t).conj().T
+    # Axes of the overlap block are (Clifford indices..., row bits...,
+    # column bits...); the current qubit's row bit sits at axis t - 1 and its
+    # column bit last, and each product puts its Clifford axis in front.
+    steps = []  # (axis order, shape of the product), as np.tensordot forms them
+    shape = [2] * (2 * t)
+    for _ in range(t):
+        order = [t - 1, len(shape) - 1] + [k for k in range(len(shape) - 1) if k != t - 1]
+        shape = [24] + [shape[k] for k in order[2:]]
+        steps.append((order, shape))
+    floor = 1.0 - ATOL
 
     def scan(pos: int, amps: np.ndarray, prefix: tuple[int, ...]):
         if pos == n - t:
-            block = amps.reshape(2 ** (n - t), 2**t)
-            overlaps = (target_block.conj().T @ block).reshape([2] * (2 * t))
-            # Axes are (Clifford indices..., row bits..., column bits...); the
-            # current qubit's row bit sits at axis t - 1 and its column bit
-            # last, and each contraction puts its Clifford axis in front.
-            for _ in range(t):
-                overlaps = np.tensordot(cliffs, overlaps, axes=([1, 2], [t - 1, -1]))
-            hits = np.argwhere(np.abs(np.abs(overlaps) - 1.0) <= ATOL)
+            overlaps = (target_adj @ amps.reshape(2 ** (n - t), 2**t)).reshape([2] * (2 * t))
+            for order, shape in steps:
+                overlaps = np.dot(stack, overlaps.transpose(order).reshape(4, -1)).reshape(shape)
+            mags = np.abs(overlaps)
+            if mags.max() < floor:  # no |ov| within ATOL of 1
+                return None
+            hits = np.argwhere(np.abs(mags - 1.0) <= ATOL)
             if len(hits):
                 first = tuple(int(c) for c in hits[0])
                 return prefix + first, overlaps[first]

@@ -235,6 +235,17 @@ class TestLcSearchCommand:
         assert code == 1
         assert json.loads(out) == {"found": False}
 
+    def test_label_mismatch_exits_two(self, capsys, tmp_path):
+        bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
+        src = tmp_path / "ab.json"
+        src.write_text(json.dumps(state_to_dict(StateVector(("a", "b"), bell))))
+        dst = tmp_path / "xy.json"
+        dst.write_text(json.dumps(state_to_dict(StateVector(("x", "y"), bell))))
+        code, out, err = run(capsys, "lc-search", str(src), str(dst))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("graphstab: ") and "('a', 'b')" in err and "('x', 'y')" in err
+
 
 class TestErrorPaths:
     def test_invalid_json_names_line(self, capsys, tmp_path):

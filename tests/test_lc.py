@@ -15,7 +15,7 @@ from graphstab import (Graph, LocalUnitary, apply_local, build_chi00, build_grap
 from graphstab import lc
 from graphstab.lc import (OrbitMember, OrbitReport, _DENSE_CHUNK, _dense_overlaps,
                           _graph_state_amps, _verify_orbit)
-from graphstab.localops import PAULI_MATS, pauli_rotation
+from graphstab.localops import ATOL, PAULI_MATS, pauli_rotation
 from graphstab.states import StateVector, allclose, max_residual, overlap
 
 from strategies import graphs, local_cliffords, random_states
@@ -375,6 +375,13 @@ class TestLcSearch:
         with pytest.raises(ValueError, match="differ"):
             lc_search(chi, StateVector(("a",), [1, 0]))
 
+    @pytest.mark.parametrize("order", [("x", "y"), ("b", "a")])
+    def test_mismatched_labels(self, order):
+        bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
+        source, target = StateVector(("a", "b"), bell), StateVector(order, bell)
+        with pytest.raises(ValueError, match=re.escape(f"('a', 'b') and {order}")):
+            lc_search(source, target)
+
     def test_oversize_rejected(self):
         names = tuple(f"q{i}" for i in range(7))
         amps = np.zeros(128)
@@ -385,6 +392,12 @@ class TestLcSearch:
 
 
 # --- slow oracle for lc_search: explicit Kronecker products, lexicographic scan ---
+
+def clifford_indices(u: LocalUnitary) -> tuple[int, ...]:
+    """Positions of the factors of `u` in the canonical 24-element Clifford list."""
+    cliffs = single_qubit_cliffords()
+    return tuple(next(k for k, c in enumerate(cliffs) if np.array_equal(c, f)) for f in u.factors)
+
 
 @lru_cache(maxsize=None)
 def kron_table(t: int) -> np.ndarray:
@@ -450,8 +463,110 @@ class TestLcSearchMatchesKronReference:
         assert got.found == (want is not None)
         if want is None:
             return
-        cliffs = single_qubit_cliffords()
-        indices = tuple(next(k for k, c in enumerate(cliffs) if np.array_equal(c, f))
-                        for f in got.unitary.factors)
-        assert indices == want[0]
+        assert clifford_indices(got.unitary) == want[0]
         assert abs(got.unitary.global_phase - want[1]) <= 1e-12
+
+
+# --- the leaf as it was written with np.tensordot, kept as the bit-for-bit reference ---
+
+def lc_search_tensordot(source: StateVector, target: StateVector):
+    """(factor indices, phase) of the first hit, or None: the scan with each
+    qubit's factor applied by np.tensordot, every leaf contracted by one
+    np.tensordot per tail qubit and checked in full, with no early reject."""
+    n = source.n
+    cliffs = single_qubit_cliffords()
+    t = min(n, 3)
+    target_block = target.amps.reshape(2 ** (n - t), 2**t)
+
+    def scan(pos, amps, prefix):
+        if pos == n - t:
+            overlaps = (target_block.conj().T @ amps.reshape(2 ** (n - t), 2**t)).reshape([2] * (2 * t))
+            for _ in range(t):
+                overlaps = np.tensordot(cliffs, overlaps, axes=([1, 2], [t - 1, -1]))
+            hits = np.argwhere(np.abs(np.abs(overlaps) - 1.0) <= ATOL)
+            if len(hits):
+                first = tuple(int(c) for c in hits[0])
+                return prefix + first, overlaps[first]
+            return None
+        for c in range(24):
+            image = np.tensordot(cliffs[c], amps.reshape([2] * n), axes=([1], [pos]))
+            found = scan(pos + 1, np.moveaxis(image, 0, pos).reshape(-1), prefix + (c,))
+            if found is not None:
+                return found
+        return None
+
+    hit = scan(0, source.amps, ())
+    if hit is None:
+        return None
+    assignment, ov = hit
+    return assignment, ov.conjugate() / abs(ov)
+
+
+def seeded_pair(n: int, kind: str, seed: int):
+    """(source, target) on labels q0..q{n-1}.
+
+    Kinds: "hit" maps a random graph state by a random local Clifford and
+    phase, "state-hit" does the same to a random state (so the witness phase
+    carries rounding), "graph" pairs two random graph states and "random" a
+    graph state with a random state.
+    """
+    rng = np.random.default_rng([n, seed])
+    names = tuple(f"q{i}" for i in range(n))
+
+    def graph_state():
+        edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        return build_graph_state(Graph.from_edges(names, edges))
+
+    def random_state():
+        amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        return StateVector(names, amps / np.linalg.norm(amps))
+
+    source = random_state() if kind == "state-hit" else graph_state()
+    if kind in ("hit", "state-hit"):
+        angle = rng.uniform(0, 2 * math.pi)
+        u = LocalUnitary(complex(math.cos(angle), math.sin(angle)),
+                         single_qubit_cliffords()[rng.integers(0, 24, n)])
+        return source, apply_local(u, source)
+    return source, graph_state() if kind == "graph" else random_state()
+
+
+PAIR_KINDS = ("hit", "state-hit", "graph", "random")
+SEEDED_CASES = [(n, kind, seed) for n in (1, 2, 3, 4) for kind in PAIR_KINDS for seed in range(6)]
+SEEDED_CASES += [(5, kind, seed) for kind in PAIR_KINDS for seed in range(2)]
+
+
+class TestLcSearchBitIdentical:
+    @pytest.mark.parametrize("n, kind, seed", SEEDED_CASES)
+    def test_same_witness_as_tensordot_leaf(self, n, kind, seed):
+        source, target = seeded_pair(n, kind, seed)
+        want = lc_search_tensordot(source, target)
+        got = lc_search(source, target)
+        assert got.found == (want is not None)
+        if kind.endswith("hit"):
+            assert got.found
+        if want is not None:
+            assert clifford_indices(got.unitary) == want[0]
+            assert got.unitary.global_phase == want[1]
+
+
+class TestEarlyReject:
+    """Targets at a chosen distance 1 - cos(theta) from a local-Clifford image."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reject_threshold_is_one_minus_atol(self, seed):
+        n = 2 + seed % 3
+        source, image = seeded_pair(n, "hit", seed)
+        exact = lc_search(source, image)
+        assert exact.found
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        w -= np.vdot(image.amps, w) * image.amps
+        w /= np.linalg.norm(w)
+        for gap, found in ((ATOL / 2, True), (2 * ATOL, False)):
+            cos = 1.0 - gap
+            target = StateVector(source.names, cos * image.amps + math.sqrt(1.0 - cos**2) * w)
+            got = lc_search(source, target)
+            assert got.found == found
+            if found:
+                assert clifford_indices(got.unitary) == clifford_indices(exact.unitary)
+                assert abs(got.unitary.global_phase - exact.unitary.global_phase) <= 1e-12

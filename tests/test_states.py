@@ -10,7 +10,7 @@ from graphstab import (Graph, LocalUnitary, PauliString, apply_controlled_phase,
                        conjugate_by_local, equal_up_to_global_phase, expectation)
 from graphstab import reference
 from graphstab.localops import PAULI_MATS
-from graphstab.states import (StateVector, allclose, max_residual, overlap,
+from graphstab.states import (StateVector, _apply_factor, allclose, max_residual, overlap,
                               plus_state, state_from_dict, state_to_dict)
 
 from strategies import graphs, local_cliffords, paulis, random_states
@@ -132,6 +132,14 @@ class TestApplyLocal:
     @given(s=random_states(n=3), u=local_cliffords(3))
     def test_preserves_norm(self, s, u):
         assert np.linalg.norm(apply_local(u, s).amps) == pytest.approx(1.0, abs=1e-9)
+
+    @given(data=st.data(), s=random_states(max_n=8))
+    def test_factor_matches_tensordot_bit_for_bit(self, data, s):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        mat = np.random.default_rng(seed).standard_normal((2, 4)).view(complex)
+        pos = data.draw(st.integers(0, s.n - 1))
+        want = np.moveaxis(np.tensordot(mat, s.amps.reshape([2] * s.n), axes=([1], [pos])), 0, pos)
+        assert _apply_factor(s.amps, mat, pos, s.n).tobytes() == want.tobytes()
 
 
 class TestApplyPauli:
