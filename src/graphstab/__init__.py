@@ -16,9 +16,8 @@ from .nonlocality import (CorrelationConstraint, constraint_from_pauli,
                           quantum_check)
 from .pauli import PauliString, commutes, conjugate_by_local, independent, multiply
 from .stabilizers import StabilizerSet, conjugate_set, graph_generators, stabilizes
-from .states import (StateVector, apply_controlled_phase, apply_local, apply_pauli,
-                     build_chi00, build_graph_state, equal_up_to_global_phase,
-                     expectation)
+from .states import (StateVector, apply_local, apply_pauli, build_chi00,
+                     build_graph_state, equal_up_to_global_phase, expectation)
 from .verify import VerificationReport, verify_all
 
 __version__ = "0.1.0"
@@ -27,7 +26,7 @@ __all__ = [
     "Bipartition", "CorrelationConstraint", "DensityMatrix", "EquivalenceWitness",
     "Graph", "LocalUnitary", "OrbitMember", "OrbitReport", "PauliString",
     "StabilizerSet", "StateVector", "VerificationReport",
-    "apply_controlled_phase", "apply_local", "apply_pauli", "build_chi00",
+    "apply_local", "apply_pauli", "build_chi00",
     "build_graph_state", "canonical_key", "commutes", "conjugate_by_local",
     "conjugate_set", "constraint_from_pauli", "entropy", "enumerate_orbit",
     "equal_up_to_global_phase", "expectation", "graph_generators", "independent",

@@ -2,14 +2,15 @@
 
 Vertices carry string labels and a fixed position (0..n-1); every bit and
 ket convention downstream keys off the position, with position 0 the most
-significant bit.  Adjacency is stored as one bitmask per vertex; the orbit
-enumeration in :mod:`graphstab.lc` packs a graph's rows into one int, n bits
-per row, and applies local complementation to that int as one XOR mask.
+significant bit.  Adjacency is stored as one bitmask per vertex.  Local
+complementation packs a graph's rows into one int, n bits per row, and XORs
+it with one mask; :func:`local_complement` and the orbit enumeration in
+:mod:`graphstab.lc` share that kernel.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MAX_VERTICES = 32  # adjacency rows must fit one machine word
 
@@ -98,20 +99,17 @@ class Graph:
         return sum(row.bit_count() for row in self.rows) // 2
 
 
-def _neighbor_toggles(nb: int) -> Iterator[tuple[int, int]]:
-    """(j, mask) per neighbor j in the mask `nb`, lowest first: local
-    complementation at a vertex with neighbors `nb` XORs row j with `mask`."""
+def _packed_toggle(nb: int, n: int) -> int:
+    """The XOR mask of local complementation at a vertex with neighbors `nb`,
+    on rows packed n bits apiece (see :func:`_pack`): each neighbor's row
+    toggles the other neighbors."""
+    toggle = 0
     rest = nb
     while rest:
         low = rest & -rest
-        yield low.bit_length() - 1, nb ^ low
+        toggle |= (nb ^ low) << n * (low.bit_length() - 1)
         rest ^= low
-
-
-def _packed_toggle(nb: int, n: int) -> int:
-    """The XOR mask of local complementation at a vertex with neighbors `nb`,
-    on rows packed n bits apiece (see :func:`_pack`)."""
-    return sum(mask << n * j for j, mask in _neighbor_toggles(nb))
+    return toggle
 
 
 def _pack(rows: tuple[int, ...], n: int) -> int:
@@ -131,11 +129,10 @@ def _unpack(key: int, n: int, values: Sequence[int]) -> tuple[int, ...]:
 
 def local_complement(g: Graph, a: str) -> Graph:
     """Toggle every edge between two neighbors of `a`; everything else unchanged."""
-    rows = list(g.rows)
-    for j, mask in _neighbor_toggles(g.rows[g.position(a)]):
-        rows[j] ^= mask
+    n = g.n
+    key = _pack(g.rows, n) ^ _packed_toggle(g.rows[g.position(a)], n)
     # a symmetric toggle of a valid graph's rows, clear of the diagonal, is valid
-    return Graph._trusted(g.names, tuple(rows))
+    return Graph._trusted(g.names, _unpack(key, n, range(1 << n)))
 
 
 def canonical_key(g: Graph) -> int:

@@ -10,8 +10,9 @@ members are computed by one batched matrix product per block of at most
 neighbor bits, times the parents' factors.  Each witness is a read-only view
 into its level's factor array.  The optional dense check contracts those
 arrays into the seed state one qubit at a time and compares them with the
-members' graph states, built from the parity of the adjacency quadratic form,
-in batches of at most 2^12 amplitudes.
+members' graph states, built by the batched kernel of
+:mod:`graphstab.states` that also backs ``build_graph_state``, in batches of
+at most 2^12 amplitudes.
 
 The search space per qubit is the canonical (24, 2, 2) Clifford stack from
 :mod:`graphstab.localops`; assignments are scanned in lexicographic order
@@ -36,7 +37,7 @@ import numpy as np
 
 from .graphs import Graph, _pack, _packed_toggle, _unpack
 from .localops import ATOL, MAX_QUBITS, LocalUnitary, pauli_rotation, single_qubit_cliffords
-from .states import StateVector, _apply_factor
+from .states import StateVector, _apply_factor, _check_same_qubits, _graph_state_amps
 
 MAX_SEARCH_QUBITS = 6
 _BATCH_TAIL = 3  # qubits handled by one fully vectorized block
@@ -65,9 +66,7 @@ def tau_unitary(g: Graph, a: str) -> LocalUnitary:
     phase (i * e^{-i pi deg(a)/4}) otherwise.
     """
     pos = g.position(a)
-    idx = [g.rows[pos] >> j & 1 for j in range(g.n)]
-    idx[pos] = 2
-    factors = _TAU_STACK[idx]
+    factors = _tau_factors(np.array([g.rows[pos]]), np.array([pos]), g.n)[0]
     factors.setflags(write=False)
     return LocalUnitary._trusted(_TAU_PHASE, factors)
 
@@ -162,21 +161,6 @@ def enumerate_orbit(seed: Graph, max_members: int | None = None,
     return OrbitReport(seed, tuple(members), truncated)
 
 
-def _graph_state_amps(graphs: list[Graph]) -> np.ndarray:
-    """Real (M, 2^n) amplitudes of the graph states of M graphs on n vertices.
-
-    Amplitude x is 2^{-n/2} (-1)^{q(x)}, where q(x) counts the edges with
-    both ends set in x (position 0 the most significant bit of x).
-    """
-    n = graphs[0].n
-    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1  # (2^n, n)
-    i, j = np.triu_indices(n, 1)  # vertex pairs i < j
-    rows = np.array([g.rows for g in graphs], dtype=np.int64)
-    edges = (rows[:, i] >> j & 1).astype(float)  # (M, pairs)
-    edges_in_x = (edges @ (bits[:, i] & bits[:, j]).T).astype(np.int64)  # exact small integers
-    return (1 - 2 * (edges_in_x & 1)) * 2 ** (-n / 2)
-
-
 def _dense_overlaps(seed_amps: np.ndarray, members: Sequence[OrbitMember],
                     factors: np.ndarray) -> np.ndarray:
     """<member graph state| witness |seed> for each member, as one batch.
@@ -194,7 +178,7 @@ def _dense_overlaps(seed_amps: np.ndarray, members: Sequence[OrbitMember],
         (a, b), (c, d) = coefs[q]
         images = np.concatenate([a * x0 + b * x1, c * x0 + d * x1], axis=1).reshape(2**n, m)
     phases = np.array([member.witness.global_phase for member in members])
-    graph_amps = _graph_state_amps([member.graph for member in members])
+    graph_amps = _graph_state_amps([member.graph.rows for member in members], n)
     return phases * np.einsum("mx,xm->m", graph_amps, images)
 
 
@@ -203,7 +187,7 @@ def _verify_orbit(seed: Graph, members: Sequence[OrbitMember], factors: np.ndarr
 
     `factors` is the (M, n, 2, 2) stack of the members' witness factors.
     """
-    seed_amps = _graph_state_amps([seed])[0]
+    seed_amps = _graph_state_amps([seed.rows], seed.n)[0]
     chunk = max(1, _DENSE_CHUNK >> seed.n)
     for start in range(0, len(members), chunk):
         batch = members[start:start + chunk]
@@ -236,10 +220,7 @@ def lc_search(source: StateVector, target: StateVector) -> EquivalenceWitness:
     working memory is a few hundred KB.  A leaf whose largest overlap
     magnitude is below 1 - ATOL cannot hold a hit and is left at once.
     """
-    if source.n != target.n:
-        raise ValueError("qubit counts differ")
-    if source.names != target.names:
-        raise ValueError(f"qubit orders differ: {source.names} and {target.names}")
+    _check_same_qubits(source, target)
     n = source.n
     if n > MAX_SEARCH_QUBITS:
         raise ValueError(f"search limited to {MAX_SEARCH_QUBITS} qubits (24^n candidates)")

@@ -92,14 +92,14 @@ class CorrelationReport:
 
 
 def quantum_check(s: StateVector, constraints: Sequence[CorrelationConstraint],
-                  origins: Sequence[PauliString], atol: float = ATOL) -> CorrelationReport:
-    """Dense-engine expectation of each origin observable; satisfied iff +1."""
+                  origins: Sequence[PauliString]) -> CorrelationReport:
+    """Dense-engine expectation of each origin observable; satisfied iff +1 within ATOL."""
     if len(constraints) != len(origins):
         raise ValueError("constraints and origins must pair up")
     entries = []
     for c, p in zip(constraints, origins):
         val = expectation(p, s)
-        entries.append(CorrelationCheck(c, p, val, abs(val - 1.0) <= atol))
+        entries.append(CorrelationCheck(c, p, val, abs(val - 1.0) <= ATOL))
     return CorrelationReport(tuple(entries))
 
 

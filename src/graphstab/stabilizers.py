@@ -7,7 +7,7 @@ from itertools import combinations
 from .graphs import Graph
 from .localops import LocalUnitary
 from .pauli import PauliString, commutes, conjugate_by_local, independent
-from .states import ATOL, StateVector, allclose, apply_pauli
+from .states import StateVector, allclose, apply_pauli
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,11 @@ def graph_generators(g: Graph) -> StabilizerSet:
     return StabilizerSet(tuple(gens))
 
 
-def stabilizes(sset: StabilizerSet, s: StateVector, atol: float = ATOL) -> bool:
-    """True iff every generator fixes the state component-wise."""
+def stabilizes(sset: StabilizerSet, s: StateVector) -> bool:
+    """True iff every generator fixes the state component-wise, within ATOL."""
     if sset.n != s.n:
         raise ValueError("qubit counts differ")
-    return all(allclose(apply_pauli(k, s), s, atol) for k in sset.generators)
+    return all(allclose(apply_pauli(k, s), s) for k in sset.generators)
 
 
 def conjugate_set(u: LocalUnitary, sset: StabilizerSet) -> StabilizerSet:

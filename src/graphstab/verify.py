@@ -75,8 +75,8 @@ def _graph_from_generator_letters(letters: tuple[str, ...], names: tuple[str, ..
     return Graph.from_edges(names, [(names[i], names[j]) for i, j in sorted(edges)])
 
 
-def verify_all(atol: float = ATOL) -> VerificationReport:
-    """Run the full battery at the given amplitude tolerance."""
+def verify_all() -> VerificationReport:
+    """Run the full battery at amplitude tolerance ATOL."""
     checks: list[CheckResult] = []
     ga = reference.graph_a()
     gb = reference.graph_b()
@@ -100,7 +100,7 @@ def verify_all(atol: float = ATOL) -> VerificationReport:
     tau = tau_unitary(ga, "A4")
     resid_tau = max_residual(apply_local(tau, state_a), state_b)
     checks.append(CheckResult(
-        "tau-unitary-exact", "Eq. (9)", resid_tau <= atol, {"residual": resid_tau}))
+        "tau-unitary-exact", "Eq. (9)", resid_tau <= ATOL, {"residual": resid_tau}))
 
     # Z(A3) (Z H)(B2) maps |G_b> to chi00 exactly, and the brute-force
     # Clifford search independently finds a witness.
@@ -110,7 +110,7 @@ def verify_all(atol: float = ATOL) -> VerificationReport:
                      if witness.found else float("inf"))
     checks.append(CheckResult(
         "chi00-from-graph-state", "Eq. (10)",
-        resid_chi <= atol and witness.found and witness_resid <= atol,
+        resid_chi <= ATOL and witness.found and witness_resid <= ATOL,
         {"residual": resid_chi, "search_found": witness.found,
          "search_residual": witness_resid},
     ))
@@ -123,7 +123,7 @@ def verify_all(atol: float = ATOL) -> VerificationReport:
         texts == expected_texts
         and all(commutes(a, b) for a in gens.generators for b in gens.generators)
         and independent(gens.generators)
-        and stabilizes(gens, state_b, atol)
+        and stabilizes(gens, state_b)
     )
     checks.append(CheckResult(
         "graph-generators", "Eqs. (11)-(14)", ok_gens, {"generators": list(texts)}))
@@ -140,7 +140,7 @@ def verify_all(atol: float = ATOL) -> VerificationReport:
         img = u_dense @ plain_k.to_matrix() @ u_dense.conj().T
         r = float(np.max(np.abs(img - conj_k.to_matrix())))
         dense_resid = max(dense_resid, r)
-        dense_ok = dense_ok and r <= atol
+        dense_ok = dense_ok and r <= ATOL
     checks.append(CheckResult(
         "conjugated-generators", "Eqs. (15)-(18)",
         got_signs == tuple(reference.CONJUGATED_SIGNS)
@@ -152,7 +152,7 @@ def verify_all(atol: float = ATOL) -> VerificationReport:
 
     # Every conjugated generator fixes the chi00 state.
     checks.append(CheckResult(
-        "chi00-stabilized", "Eq. (19)", stabilizes(conj, chi, atol),
+        "chi00-stabilized", "Eq. (19)", stabilizes(conj, chi),
         {"generators": [k.to_text() for k in conj.generators]}))
 
     # Product of conjugated generators 1, 2, 4.
@@ -166,7 +166,7 @@ def verify_all(atol: float = ATOL) -> VerificationReport:
     # Quantum predictions for the four measurement settings.
     origins = reference.ghz_origins()
     constraints = reference.ghz_constraints()
-    report = quantum_check(chi, constraints, origins, atol)
+    report = quantum_check(chi, constraints, origins)
     checks.append(CheckResult(
         "quantum-correlations", "Eqs. (21)-(24)", report.all_satisfied,
         {"expectations": [e.expectation for e in report.entries],
@@ -207,4 +207,4 @@ def verify_all(atol: float = ATOL) -> VerificationReport:
     checks.append(CheckResult(
         "entanglement-pattern", "entanglement (2,2,1)", ent_ok, ent_details))
 
-    return VerificationReport(atol, tuple(checks))
+    return VerificationReport(ATOL, tuple(checks))

@@ -75,7 +75,7 @@ def test_criterion_4_graph_generators(graph_b, state_b, k_set):
         for a, b in itertools.combinations(gens.generators, 2):
             assert commutes(a, b)
         assert independent(gens.generators)
-        assert stabilizes(gens, state_b, ATOL)
+        assert stabilizes(gens, state_b)
 
 
 def test_criterion_5_conjugated_signs(u_chi, k_set, kbar_set):
@@ -93,7 +93,7 @@ def test_criterion_5_conjugated_signs(u_chi, k_set, kbar_set):
 def test_criterion_6_chi00_stabilized(kbar_set, chi):
     with criterion(6, "all four conjugated generators fix chi00"):
         for k in kbar_set.generators:
-            assert allclose(apply_pauli(k, chi), chi, ATOL)
+            assert allclose(apply_pauli(k, chi), chi)
 
 
 def test_criterion_7_setting_product(kbar_set):
@@ -141,7 +141,7 @@ def test_criterion_11a_all_four_vertex_graphs_stabilized():
         count = 0
         for bits in range(2 ** len(pairs)):
             g = Graph.from_edges(names, [p for k, p in enumerate(pairs) if bits >> k & 1])
-            assert stabilizes(graph_generators(g), build_graph_state(g), ATOL)
+            assert stabilizes(graph_generators(g), build_graph_state(g))
             count += 1
         assert count == 64
 

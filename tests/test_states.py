@@ -1,17 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphstab import (Graph, LocalUnitary, PauliString, apply_controlled_phase,
-                       apply_local, apply_pauli, build_chi00, build_graph_state,
-                       conjugate_by_local, equal_up_to_global_phase, expectation)
+from graphstab import (Graph, LocalUnitary, PauliString, apply_local, apply_pauli,
+                       build_chi00, build_graph_state, conjugate_by_local,
+                       equal_up_to_global_phase, expectation)
 from graphstab import reference
 from graphstab.localops import PAULI_MATS
 from graphstab.states import (StateVector, _apply_factor, allclose, max_residual, overlap,
-                              plus_state, state_from_dict, state_to_dict)
+                              state_from_dict, state_to_dict)
 
 from strategies import graphs, local_cliffords, paulis, random_states
 
@@ -39,6 +40,26 @@ def graph_state_oracle(g: Graph) -> np.ndarray:
     for a, b in g.edges():
         psi = _cz_matrix(g.n, g.position(a), g.position(b)) @ psi
     return psi
+
+
+# --- reference: one controlled-phase per edge on |+>^n, in the given edge order ---
+
+def cz_reference(g: Graph, edges=None) -> np.ndarray:
+    """The per-edge loop the parity kernel replaced: negate the amplitudes
+    whose bits at both ends of each edge are 1."""
+    t = np.full([2] * g.n, 2 ** (-g.n / 2), dtype=complex)
+    for a, b in g.edges() if edges is None else edges:
+        idx: list[object] = [slice(None)] * g.n
+        idx[g.position(a)] = idx[g.position(b)] = 1
+        t[tuple(idx)] *= -1
+    return t.reshape(-1)
+
+
+def random_graph(n: int, seed: int) -> Graph:
+    rng = np.random.default_rng(seed)
+    names = tuple(f"q{i}" for i in range(n))
+    return Graph.from_edges(names, [(names[i], names[j]) for i in range(n)
+                                    for j in range(i + 1, n) if rng.random() < 0.5])
 
 
 class TestChi00:
@@ -74,7 +95,7 @@ class TestBuildGraphState:
     def test_reference_graph_against_oracle(self, graph_b, state_b, k_set):
         assert np.max(np.abs(state_b.amps - graph_state_oracle(graph_b))) < 1e-12
         for k in k_set.generators:
-            assert allclose(apply_pauli(k, state_b), state_b)
+            assert max_residual(apply_pauli(k, state_b), state_b) <= 1e-14
 
     def test_amplitudes_have_uniform_magnitude(self, state_b):
         assert np.allclose(np.abs(state_b.amps), 0.25)
@@ -87,29 +108,20 @@ class TestBuildGraphState:
     @given(g=graphs(max_n=6), data=st.data())
     def test_edge_order_irrelevant(self, g, data):
         order = data.draw(st.permutations(g.edges()))
-        s = plus_state(g.names)
-        for a, b in order:
-            s = apply_controlled_phase(s, a, b)
-        assert allclose(s, build_graph_state(g), 1e-12)
+        assert np.array_equal(cz_reference(g, order), build_graph_state(g).amps)
 
+    @staticmethod
+    def assert_matches_per_edge_loop(g: Graph):
+        amps = build_graph_state(g).amps
+        assert amps.real.tobytes() == cz_reference(g).real.tobytes()
+        assert amps.imag.tobytes() == bytes(amps.imag.nbytes)  # every imaginary part +0.0
 
-class TestControlledPhase:
-    def test_negates_only_the_11_block(self):
-        s = basis_state(("a", "b"), 0b11)
-        assert allclose(apply_controlled_phase(s, "a", "b"),
-                        StateVector(("a", "b"), [0, 0, 0, -1]))
+    @given(g=graphs(max_n=8))
+    def test_matches_per_edge_loop(self, g):
+        self.assert_matches_per_edge_loop(g)
 
-    def test_involution(self, chi):
-        twice = apply_controlled_phase(apply_controlled_phase(chi, "A3", "B1"), "A3", "B1")
-        assert allclose(twice, chi)
-
-    def test_symmetric_in_arguments(self, chi):
-        assert allclose(apply_controlled_phase(chi, "A3", "B1"),
-                        apply_controlled_phase(chi, "B1", "A3"))
-
-    def test_equal_labels_rejected(self, chi):
-        with pytest.raises(ValueError, match="'A3' twice"):
-            apply_controlled_phase(chi, "A3", "A3")
+    def test_matches_per_edge_loop_at_dense_limit(self):
+        self.assert_matches_per_edge_loop(random_graph(12, seed=12))
 
 
 class TestApplyLocal:
@@ -173,7 +185,7 @@ class TestExpectation:
         assert expectation(PauliString.from_letters("ZXIX"), chi) == pytest.approx(-1.0, abs=1e-12)
 
     def test_plus_state(self):
-        s = plus_state(("q0",))
+        s = build_graph_state(Graph.empty(("q0",)))
         assert expectation(PauliString.from_letters("X"), s) == pytest.approx(1.0, abs=1e-12)
 
     def test_non_hermitian_rejected(self, chi):
@@ -197,6 +209,25 @@ class TestPhaseComparison:
         assert not equal_up_to_global_phase(a, b)
 
 
+class TestComparedLabels:
+    """Amplitudes are compared by position, so every comparison checks the labels first."""
+
+    BELL = np.array([1, 0, 0, 1]) / math.sqrt(2)
+
+    @pytest.mark.parametrize("compare", [overlap, allclose, max_residual, equal_up_to_global_phase])
+    @pytest.mark.parametrize("order", [("x", "y"), ("b", "a")])
+    def test_label_orders_must_agree(self, compare, order):
+        s, t = StateVector(("a", "b"), self.BELL), StateVector(order, self.BELL)
+        with pytest.raises(ValueError, match=re.escape(f"qubit orders differ: ('a', 'b') and {order}")):
+            compare(s, t)
+
+    @pytest.mark.parametrize("compare", [overlap, allclose, max_residual, equal_up_to_global_phase])
+    def test_qubit_counts_must_agree(self, compare):
+        s, t = StateVector(("a", "b"), self.BELL), basis_state(("a",), 0)
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            compare(s, t)
+
+
 class TestConjugationConsistency:
     @given(u=local_cliffords(3), p=paulis(n=3), s=random_states(n=3))
     def test_symbolic_matches_dense_transport(self, u, p, s):
@@ -210,7 +241,7 @@ class TestJson:
         data = state_to_dict(chi)
         back = state_from_dict(data)
         assert back.names == chi.names
-        assert allclose(back, chi, 1e-12)
+        assert max_residual(back, chi) <= 1e-12
 
     def test_rejects_wrong_amp_count(self):
         with pytest.raises(ValueError, match="amps"):
