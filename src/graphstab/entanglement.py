@@ -53,10 +53,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
     def eigenvalues(self) -> np.ndarray:
         """Real spectrum, descending."""
         return np.linalg.eigvalsh(self.entries)[::-1]

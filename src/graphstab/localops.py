@@ -3,8 +3,7 @@
 A :class:`LocalUnitary` is a global scalar phase times one read-only
 (n, 2, 2) array of per-qubit factors.  The 24 single-qubit Cliffords are
 generated by closure from {H, S}, canonicalized up to global phase, and held
-as one read-only (24, 2, 2) array; a factor's Pauli conjugation action is
-derived from dense 2x2 algebra rather than written by hand.
+as one read-only (24, 2, 2) array.
 """
 from __future__ import annotations
 
@@ -92,11 +91,6 @@ class LocalUnitary:
         factors.setflags(write=False)
         return LocalUnitary._trusted(self.global_phase * other.global_phase, factors)
 
-    def inverse(self) -> "LocalUnitary":
-        factors = np.ascontiguousarray(self.factors.conj().swapaxes(1, 2))
-        factors.setflags(write=False)
-        return LocalUnitary._trusted(self.global_phase.conjugate(), factors)
-
     def dense(self) -> np.ndarray:
         """Full 2^n x 2^n matrix, n <= MAX_QUBITS."""
         if self.n > MAX_QUBITS:
@@ -157,25 +151,3 @@ def single_qubit_cliffords() -> np.ndarray:
     out = np.array(found)
     out.setflags(write=False)
     return out
-
-
-def clifford_pauli_action(mat: np.ndarray) -> tuple[tuple[int, str], tuple[int, str]] | None:
-    """((sign, letter) for U X U+, same for U Z U+), or None if not Clifford.
-
-    Signs are +-1; matching tolerance 1e-9.
-    """
-    out = []
-    for src in ("X", "Z"):
-        img = mat @ PAULI_MATS[src] @ mat.conj().T
-        hit = None
-        for letter in ("X", "Y", "Z"):
-            for sign in (1, -1):
-                if np.max(np.abs(img - sign * PAULI_MATS[letter])) <= ATOL:
-                    hit = (sign, letter)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return None
-        out.append(hit)
-    return out[0], out[1]

@@ -7,6 +7,9 @@ A Pauli is stored as two bitmasks plus a power of i:
 with Y = i X Z, so the letter Y at one qubit contributes (x=1, z=1) and one
 factor of i absorbed into ``phase_exp``.  Bit q of a mask is the qubit at
 position q; positions follow the owning graph/state's vertex order.
+
+Conjugation by a local Clifford reads each factor's images of X and Z off
+dense 2x2 conjugation and multiplies them symbolically.
 """
 from __future__ import annotations
 
@@ -16,11 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import MAX_VERTICES
-from .localops import MAX_QUBITS, PAULI_MATS, LocalUnitary, clifford_pauli_action
+from .localops import ATOL, PAULI_MATS, LocalUnitary
 
 _LETTER_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
 _PHASE_TEXT = {0: "", 1: "+i", 2: "-", 3: "-i"}
-_TEXT_PHASE = {"": 0, "+": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
 
 
 def _mul1(p1: int, x1: int, z1: int, p2: int, x2: int, z2: int) -> tuple[int, int, int]:
@@ -65,21 +67,6 @@ class PauliString:
             phase += 2
         return cls(len(letters), x, z, phase % 4)
 
-    @classmethod
-    def from_text(cls, text: str) -> "PauliString":
-        """Parse '-ZXIX' style text: optional {+,-,+i,-i} then IXYZ letters."""
-        s = text.strip().replace("−", "-")
-        prefix = ""
-        while s and s[0] in "+-i":
-            prefix += s[0]
-            s = s[1:]
-        if prefix not in _TEXT_PHASE:
-            raise ValueError(f"bad sign prefix in {text!r}")
-        if not s:
-            raise ValueError(f"no Pauli letters in {text!r}")
-        p = cls.from_letters(s)
-        return cls(p.n, p.x, p.z, (p.phase_exp + _TEXT_PHASE[prefix]) % 4)
-
     # --- views ---
 
     def letter(self, q: int) -> str:
@@ -110,20 +97,10 @@ class PauliString:
     def to_text(self) -> str:
         return _PHASE_TEXT[self._letter_phase()] + self.letters
 
-    def __str__(self) -> str:
-        return self.to_text()
-
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix (n <= MAX_QUBITS)."""
-        if self.n > MAX_QUBITS:
-            raise ValueError(f"dense form limited to {MAX_QUBITS} qubits")
-        out = np.array([[1j ** self._letter_phase()]], dtype=complex)
-        for q in range(self.n):
-            out = np.kron(out, PAULI_MATS[self.letter(q)])
-        return out
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return multiply(self, other)
+        factors = [PAULI_MATS[letter] for letter in self.letters]
+        return LocalUnitary(1j ** self._letter_phase(), factors).dense()
 
 
 def multiply(p: PauliString, *more: PauliString) -> PauliString:
@@ -178,33 +155,46 @@ def independent(paulis: Sequence[PauliString]) -> bool:
     return not _dependencies([(p.x << p.n) | p.z for p in paulis])
 
 
+# the six signed one-qubit Paulis, in the order a factor's images are matched
+_SIGNED_MATS = np.array([sign * PAULI_MATS[letter] for letter in "XYZ" for sign in (1, -1)])
+_SIGNED_PAULIS = tuple(PauliString.from_letters(letter, sign) for letter in "XYZ" for sign in (1, -1))
+_X_Z = np.array([PAULI_MATS["X"], PAULI_MATS["Z"]])
+
+
+def _clifford_images(f: np.ndarray) -> tuple[PauliString, PauliString] | None:
+    """f X f+ and f Z f+ as one-qubit Paulis, or None if either is not a signed Pauli.
+
+    An image is the first signed Pauli (X, -X, Y, -Y, Z, -Z) within ATOL in
+    every entry.
+    """
+    images = f @ _X_Z @ f.conj().T
+    hits = np.max(np.abs(images[:, None] - _SIGNED_MATS), axis=(2, 3)) <= ATOL  # (2, 6)
+    if not hits.any(axis=1).all():
+        return None
+    ix, iz = hits.argmax(axis=1)
+    return _SIGNED_PAULIS[ix], _SIGNED_PAULIS[iz]
+
+
 def conjugate_by_local(u: LocalUnitary, p: PauliString) -> PauliString:
     """The exact signed Pauli U p U+, for a local Clifford U.
 
-    Each factor's action is read off dense 2x2 conjugation and applied
-    symbolically, so the global phase of `u` never enters.  A factor that
-    does not map Paulis to signed Paulis raises, naming the qubit.
+    Each factor's images of X and Z come from dense 2x2 conjugation and are
+    multiplied symbolically, so the global phase of `u` never enters.  A
+    factor that does not map X and Z to signed Paulis raises, naming the qubit.
     """
     if u.n != p.n:
         raise ValueError("qubit counts differ")
     phase = p.phase_exp
     x_out = z_out = 0
     for q in range(p.n):
-        xq, zq = p.x >> q & 1, p.z >> q & 1
-        if not (xq or zq):
+        bits = (p.x >> q & 1, p.z >> q & 1)
+        if not any(bits):
             continue
-        action = clifford_pauli_action(u.factors[q])
-        if action is None:
+        images = _clifford_images(u.factors[q])
+        if images is None:
             raise ValueError(f"factor on qubit {q} is not a Clifford")
-        (sx, lx), (sz, lz) = action
-        acc = (0, 0, 0)
-        if xq:
-            bx, bz, bp = _LETTER_BITS[lx]
-            acc = _mul1(*acc, (bp + (0 if sx > 0 else 2)) % 4, bx, bz)
-        if zq:
-            bx, bz, bp = _LETTER_BITS[lz]
-            acc = _mul1(*acc, (bp + (0 if sz > 0 else 2)) % 4, bx, bz)
-        phase = (phase + acc[0]) % 4
-        x_out |= acc[1] << q
-        z_out |= acc[2] << q
+        image = multiply(*(img for img, bit in zip(images, bits) if bit))
+        phase += image.phase_exp
+        x_out |= image.x << q
+        z_out |= image.z << q
     return PauliString(p.n, x_out, z_out, phase)

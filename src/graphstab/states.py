@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
@@ -69,6 +70,15 @@ def build_chi00() -> StateVector:
     return StateVector(("A3", "A4", "B1", "B2"), amps)
 
 
+@lru_cache(maxsize=MAX_QUBITS)
+def _bit_table(n: int) -> np.ndarray:
+    """Read-only float32 (n, 2^n) table: entry (i, x) is bit i of x, position 0 most significant."""
+    j = np.arange(n, dtype=np.int32)
+    bits = (np.arange(2**n, dtype=np.int32) >> (n - 1 - j)[:, None] & 1).astype(np.float32)
+    bits.setflags(write=False)
+    return bits
+
+
 def _graph_state_amps(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
     """Real (M, 2^n) amplitudes of the graph states whose adjacency rows are rows[k].
 
@@ -77,10 +87,11 @@ def _graph_state_amps(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
     vertex i at later positions (position 0 the most significant bit of x).
     Hein, Eisert, Briegel, PRA 69, 062311 (2004), quant-ph/0307130.  The bit
     table and the counts are float32, exact since every value is an integer
-    below 2^24, so the (n, 2^n) temporaries take half the memory of float64.
+    below 2^24, so the (n, 2^n) arrays take half the memory of float64; the
+    table is built once per n.
     """
     j = np.arange(n, dtype=np.int32)
-    bits = (np.arange(2**n, dtype=np.int32) >> (n - 1 - j)[:, None] & 1).astype(np.float32)  # (n, 2^n)
+    bits = _bit_table(n)
     adjacency = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * n).reshape(-1, n, 1)
     upper = (adjacency >> j & (j > j[:, None])).astype(np.float32)  # bit j of row i, for j > i
     counts = (upper.reshape(-1, n) @ bits).reshape(len(rows), n, 2**n)  # |x & upper_i|

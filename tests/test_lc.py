@@ -129,8 +129,7 @@ class TestTrustedConstructors:
         assert tau.global_phase == want.global_phase
         assert tau.factors.tobytes() == want.factors.tobytes()
         other = data.draw(local_cliffords(g.n))
-        for u in (tau, tau.compose(other), other.compose(tau), tau.inverse(),
-                  tau.compose(other).inverse()):
+        for u in (tau, tau.compose(other), other.compose(tau)):
             assert not u.factors.flags.writeable
             checked = LocalUnitary(u.global_phase, u.factors)
             assert checked.global_phase == u.global_phase

@@ -11,8 +11,8 @@ from graphstab import (Graph, LocalUnitary, PauliString, apply_local, apply_paul
                        equal_up_to_global_phase, expectation)
 from graphstab import reference
 from graphstab.localops import PAULI_MATS
-from graphstab.states import (StateVector, _apply_factor, allclose, max_residual, overlap,
-                              state_from_dict, state_to_dict)
+from graphstab.states import (StateVector, _apply_factor, _bit_table, allclose, max_residual,
+                              overlap, state_from_dict, state_to_dict)
 
 from strategies import graphs, local_cliffords, paulis, random_states
 
@@ -122,6 +122,13 @@ class TestBuildGraphState:
 
     def test_matches_per_edge_loop_at_dense_limit(self):
         self.assert_matches_per_edge_loop(random_graph(12, seed=12))
+
+    def test_bit_table_is_shared_and_read_only(self):
+        bits = _bit_table(3)
+        assert _bit_table(3) is bits
+        assert not bits.flags.writeable
+        assert bits.dtype == np.float32
+        assert bits.tolist() == [[x >> (2 - i) & 1 for x in range(8)] for i in range(3)]
 
 
 class TestApplyLocal:
