@@ -3,14 +3,17 @@
 Vertices carry string labels and a fixed position (0..n-1); every bit and
 ket convention downstream keys off the position, with position 0 the most
 significant bit.  Adjacency is stored as one bitmask per vertex.  Local
-complementation packs a graph's rows into one int, n bits per row, and XORs
-it with one mask; :func:`local_complement` and the orbit enumeration in
-:mod:`graphstab.lc` share that kernel.
+complementation is one array kernel, :func:`_complements`, which maps a
+stack of graphs' rows to the rows of every local complement at every
+vertex; :func:`local_complement` takes one of them and the orbit
+enumeration in :mod:`graphstab.lc` takes them all.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 MAX_VERTICES = 32  # adjacency rows must fit one machine word
 
@@ -72,10 +75,6 @@ class Graph:
         object.__setattr__(g, "rows", rows)
         return g
 
-    @classmethod
-    def empty(cls, names: Iterable[str]) -> "Graph":
-        return cls.from_edges(names, [])
-
     @property
     def n(self) -> int:
         return len(self.names)
@@ -99,40 +98,20 @@ class Graph:
         return sum(row.bit_count() for row in self.rows) // 2
 
 
-def _packed_toggle(nb: int, n: int) -> int:
-    """The XOR mask of local complementation at a vertex with neighbors `nb`,
-    on rows packed n bits apiece (see :func:`_pack`): each neighbor's row
-    toggles the other neighbors."""
-    toggle = 0
-    rest = nb
-    while rest:
-        low = rest & -rest
-        toggle |= (nb ^ low) << n * (low.bit_length() - 1)
-        rest ^= low
-    return toggle
-
-
-def _pack(rows: tuple[int, ...], n: int) -> int:
-    """Adjacency rows of an n-vertex graph as one int, row i at bits n*i .. n*i + n - 1."""
-    key = 0
-    for i, row in enumerate(rows):
-        key |= row << n * i
-    return key
-
-
-def _unpack(key: int, n: int, values: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of :func:`_pack`, taking row value r as the object `values[r]`,
-    so that every graph unpacked through one tuple of values shares its ints."""
-    full = (1 << n) - 1
-    return tuple([values[key >> shift & full] for shift in range(0, n * n, n)])
+def _complements(rows: np.ndarray) -> np.ndarray:
+    """The (L, n, n) rows of every local complement of an (L, n) stack of
+    graphs' rows, at every vertex v: row i toggles by v's row minus bit i
+    when i is a neighbor of v.  The result has the dtype of `rows`."""
+    bits = 1 << np.arange(rows.shape[1], dtype=rows.dtype)
+    nbs = rows[:, :, None]
+    return rows[:, None, :] ^ (nbs ^ bits) * (nbs & bits != 0)
 
 
 def local_complement(g: Graph, a: str) -> Graph:
     """Toggle every edge between two neighbors of `a`; everything else unchanged."""
-    n = g.n
-    key = _pack(g.rows, n) ^ _packed_toggle(g.rows[g.position(a)], n)
+    rows = _complements(np.array([g.rows], dtype=np.int64))[0, g.position(a)]
     # a symmetric toggle of a valid graph's rows, clear of the diagonal, is valid
-    return Graph._trusted(g.names, _unpack(key, n, range(1 << n)))
+    return Graph._trusted(g.names, tuple(rows.tolist()))
 
 
 def canonical_key(g: Graph) -> int:

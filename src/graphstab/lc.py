@@ -1,9 +1,10 @@
 """Local-complementation unitaries, LC-orbit enumeration, and brute-force
 local-Clifford equivalence search between dense states.
 
-An orbit is a level-synchronous breadth-first closure.  Each member's
-adjacency rows are packed into one int key, and a move XORs that key with
-the memoized toggle mask of the vertex's neighborhood, so duplicates are
+An orbit is a level-synchronous breadth-first closure.  Each level is a
+(L, n) uint16 array of its members' adjacency rows; the kernel of
+:mod:`graphstab.graphs` complements all of them at every vertex at once,
+and the L*n children are deduplicated on their row bytes, so duplicates are
 rejected before any graph or witness is built.  The witnesses of a level's new
 members are computed by one batched matrix product per block of at most
 2^10 members: tau's factors, looked up in a (3, 2, 2) stack by the parent's
@@ -30,12 +31,13 @@ leaves are compared entry by entry for the first hit.  Witnesses are
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, _pack, _packed_toggle, _unpack
+from .graphs import Graph, _complements
 from .localops import ATOL, MAX_QUBITS, LocalUnitary, pauli_rotation, single_qubit_cliffords
 from .states import StateVector, _apply_factor, _check_same_qubits, _graph_state_amps
 
@@ -92,11 +94,12 @@ def enumerate_orbit(seed: Graph, max_members: int | None = None,
     Members are listed level by level, each level in the order of its
     parents and then of the complemented vertex's position, and carry the
     composed witness unitary plus the complementation path (first move
-    first).  A move is deduplicated on the adjacency rows packed into one int
-    (equal rows are equal edge sets, since every member shares the seed's
-    label order), so only new members are built.  A level's witnesses are
-    tau times the parent's witness, computed by one matrix product per block
-    of at most 2^10 members; each witness's factors are a read-only view into
+    first).  Each level's adjacency rows are one (L, n) array; all L*n
+    children are formed at once and deduplicated on their row bytes (equal
+    rows are equal edge sets, since every member shares the seed's label
+    order), so only new members are built.  A level's witnesses are tau
+    times the parent's witness, computed by one matrix product per block of
+    at most 2^10 members; each witness's factors are a read-only view into
     its level's array.  When `verify` is true (default for n <= 6) every
     witness is checked against the dense engine, up to global phase, in
     batches of at most 2^12 amplitudes.
@@ -110,34 +113,30 @@ def enumerate_orbit(seed: Graph, max_members: int | None = None,
 
     n = seed.n
     root = OrbitMember(seed, LocalUnitary.identity(n), ())
-    members = [root]
+    members, parents = [root], [root]
     stacks = [root.witness.factors[None]]  # each level's witness factors, in member order
-    frontier = [(root, _pack(seed.rows, n))]
-    seen = {frontier[0][1]}
-    toggles: dict[int, int] = {}
+    level = np.array([seed.rows], dtype=np.uint16)  # the parents' rows; n <= 12 bits each
+    seen = {level.tobytes()}
     row_values = tuple(range(1 << n))  # members share one int object per row value
     truncated = False
-    while frontier and not truncated:
-        # dedup the level's moves on packed keys, building nothing
-        moves, keys = [], []  # (parent index, vertex position, its neighbor mask), child key
-        for p, (parent, key) in enumerate(frontier):
-            for v, nb in enumerate(parent.graph.rows):
-                toggle = toggles.get(nb)
-                if toggle is None:
-                    toggle = toggles[nb] = _packed_toggle(nb, n)
-                child = key ^ toggle
-                if child not in seen:
-                    seen.add(child)
-                    moves.append((p, v, nb))
-                    keys.append(child)
+    while not truncated:
+        # dedup the level's children on their row bytes, building nothing
+        children = _complements(level).reshape(-1, n)  # parent-major, then vertex
+        moves = []  # indices k = parent * n + vertex of the new members
+        for k, (key,) in enumerate(struct.iter_unpack(f"{children.itemsize * n}s", children)):
+            if key not in seen:
+                seen.add(key)
+                moves.append(k)
         if max_members is not None and len(members) + len(moves) > max_members:
-            room = max_members - len(members)
-            del moves[room:], keys[room:]
+            del moves[max_members - len(members):]
             truncated = True
         if not moves:
             break
 
-        pidx, vertices, nbs = np.array(moves).T
+        pidx, vertices = np.divmod(moves, n)
+        nbs = level[pidx, vertices]
+        level = children[moves]
+        del children  # freed before the factors: 12 MB at the 12-ring's widest level
         factors = np.empty((len(moves), n, 2, 2), dtype=complex)
         for s in range(0, len(moves), _LEVEL_BLOCK):
             block = slice(s, s + _LEVEL_BLOCK)
@@ -146,15 +145,14 @@ def enumerate_orbit(seed: Graph, max_members: int | None = None,
         factors.setflags(write=False)
         stacks.append(factors)
 
-        level = []
-        for (p, v, _), key, f in zip(moves, keys, factors):
-            parent = frontier[p][0]
+        new = []
+        for p, v, rows, f in zip(pidx.tolist(), vertices.tolist(), level.tolist(), factors):
+            parent = parents[p]
             witness = LocalUnitary._trusted(_TAU_PHASE * parent.witness.global_phase, f)
-            member = OrbitMember(Graph._trusted(seed.names, _unpack(key, n, row_values)), witness,
-                                 parent.path + (seed.names[v],))
-            level.append((member, key))
-            members.append(member)
-        frontier = level
+            new.append(OrbitMember(Graph._trusted(seed.names, tuple([row_values[r] for r in rows])),
+                                   witness, parent.path + (seed.names[v],)))
+        members.extend(new)
+        parents = new
 
     if verify:
         _verify_orbit(seed, members, np.concatenate(stacks))

@@ -1,12 +1,13 @@
 import json
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from graphstab import Graph, canonical_key, local_complement
-from graphstab.graphs import graph_from_dict, graph_to_dict, graph_to_dot
+from graphstab.graphs import _complements, graph_from_dict, graph_to_dict, graph_to_dot
 
 from strategies import graphs
 
@@ -31,7 +32,7 @@ class TestConstruction:
     def test_rejects_oversize(self):
         names = tuple(f"q{i}" for i in range(33))
         with pytest.raises(ValueError, match="1..32"):
-            Graph.empty(names)
+            Graph.from_edges(names, [])
 
     def test_positions_follow_declaration_order(self, graph_a):
         assert [graph_a.position(a) for a in graph_a.names] == [0, 1, 2, 3]
@@ -51,7 +52,7 @@ class TestNeighbors:
         assert graph_a.rows[graph_a.position("A4")] == bits(graph_a, "A3", "B2")
 
     def test_empty_graph(self):
-        g = Graph.empty(("a", "b", "c"))
+        g = Graph.from_edges(("a", "b", "c"), [])
         assert g.rows[g.position("a")] == 0
 
     def test_chorded_graph(self, graph_b):
@@ -106,10 +107,29 @@ class TestLocalComplement:
         for u, v in toggled:
             assert u in nb and v in nb
 
+    # int64 rows as local_complement passes them, uint16 rows as the orbit does
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16])
+    @given(data=st.data())
+    def test_kernel_matches_per_edge_toggles(self, dtype, data):
+        n = data.draw(st.integers(1, 12))
+        stack = data.draw(st.lists(graphs(min_n=n, max_n=n), min_size=1, max_size=3))
+
+        def toggled(g, v):
+            rows = list(g.rows)
+            nb = [i for i in range(n) if g.rows[v] >> i & 1]
+            for i, j in combinations(nb, 2):
+                rows[i] ^= 1 << j
+                rows[j] ^= 1 << i
+            return rows
+
+        out = _complements(np.array([g.rows for g in stack], dtype=dtype))
+        assert out.dtype == dtype
+        assert out.tolist() == [[toggled(g, v) for v in range(n)] for g in stack]
+
 
 class TestCanonicalKey:
     def test_empty_graph_is_zero(self):
-        assert canonical_key(Graph.empty(("a", "b", "c", "d"))) == 0
+        assert canonical_key(Graph.from_edges(("a", "b", "c", "d"), [])) == 0
 
     def test_distinct_edge_sets_distinct_keys(self, graph_a, graph_b):
         assert canonical_key(graph_a) != canonical_key(graph_b)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 from collections import Counter, deque
 from functools import lru_cache
@@ -173,7 +174,7 @@ class TestEnumerateOrbit:
         assert len(keys) == len(set(keys))
 
     def test_edgeless_orbit_is_single_member(self):
-        report = enumerate_orbit(Graph.empty(("a", "b", "c")))
+        report = enumerate_orbit(Graph.from_edges(("a", "b", "c"), []))
         assert len(report.members) == 1
         assert report.members[0].path == ()
         assert not report.truncated
@@ -188,7 +189,7 @@ class TestEnumerateOrbit:
         assert not report.truncated
 
     def test_oversize_rejected(self):
-        g = Graph.empty(tuple(f"q{i}" for i in range(13)))
+        g = Graph.from_edges(tuple(f"q{i}" for i in range(13)), [])
         with pytest.raises(ValueError, match="12"):
             enumerate_orbit(g)
 
@@ -196,6 +197,12 @@ class TestEnumerateOrbit:
 def ring(n: int) -> Graph:
     names = tuple(f"r{i}" for i in range(n))
     return Graph.from_edges(names, [(names[i], names[(i + 1) % n]) for i in range(n)])
+
+
+def random_graph(n: int, seed: int) -> Graph:
+    rng = random.Random(seed)
+    names = tuple(f"q{i}" for i in range(n))
+    return Graph.from_edges(names, [e for e in itertools.combinations(names, 2) if rng.random() < 0.4])
 
 
 def enumerate_orbit_reference(seed: Graph, max_members=None):
@@ -246,6 +253,11 @@ class TestLevelSynchronousOrbit:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lc, "_LEVEL_BLOCK", 3)
             assert_same_as_reference(g, cap)
+
+    # the hypothesis properties stop at 8 vertices; these reach the 12-vertex cap
+    @pytest.mark.parametrize("g", [ring(12), random_graph(12, seed=20080106)], ids=["ring", "random"])
+    def test_matches_per_member_bfs_at_twelve_vertices(self, g):
+        assert_same_as_reference(g, 500)
 
     @pytest.mark.parametrize("n, size", [(6, 372), (8, 2_932), (10, 22_484)])
     def test_ring_orbit_sizes(self, n, size):

@@ -28,7 +28,7 @@ class TestGraphGenerators:
         assert graph_generators(graph_b) == k_set
 
     def test_empty_graph(self):
-        gens = graph_generators(Graph.empty(("a", "b"))).generators
+        gens = graph_generators(Graph.from_edges(("a", "b"), [])).generators
         assert [k.to_text() for k in gens] == ["XI", "IX"]
 
     def test_single_edge(self):

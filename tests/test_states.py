@@ -83,7 +83,7 @@ class TestChi00:
 
 class TestBuildGraphState:
     def test_empty_graph_is_all_plus(self):
-        g = Graph.empty(("a", "b", "c"))
+        g = Graph.from_edges(("a", "b", "c"), [])
         s = build_graph_state(g)
         assert np.allclose(s.amps, 2 ** (-1.5))
 
@@ -101,7 +101,7 @@ class TestBuildGraphState:
         assert np.allclose(np.abs(state_b.amps), 0.25)
 
     def test_oversize_graph_rejected(self):
-        g = Graph.empty(tuple(f"q{i}" for i in range(13)))
+        g = Graph.from_edges(tuple(f"q{i}" for i in range(13)), [])
         with pytest.raises(ValueError, match="dense limit"):
             build_graph_state(g)
 
@@ -192,7 +192,7 @@ class TestExpectation:
         assert expectation(PauliString.from_letters("ZXIX"), chi) == pytest.approx(-1.0, abs=1e-12)
 
     def test_plus_state(self):
-        s = build_graph_state(Graph.empty(("q0",)))
+        s = build_graph_state(Graph.from_edges(("q0",), []))
         assert expectation(PauliString.from_letters("X"), s) == pytest.approx(1.0, abs=1e-12)
 
     def test_non_hermitian_rejected(self, chi):
