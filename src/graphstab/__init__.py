@@ -6,7 +6,7 @@ Two independent engines back every claim: dense state vectors (module
 the verification battery in ``verify`` cross-checks them.
 """
 
-from .entanglement import Bipartition, DensityMatrix, entropy, is_product_across, reduce
+from .entanglement import Bipartition, entropy, is_product_across, reduce
 from .graphs import Graph, canonical_key, local_complement
 from .lc import (EquivalenceWitness, OrbitMember, OrbitReport, enumerate_orbit,
                  lc_search, tau_unitary)
@@ -23,7 +23,7 @@ from .verify import VerificationReport, verify_all
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bipartition", "CorrelationConstraint", "DensityMatrix", "EquivalenceWitness",
+    "Bipartition", "CorrelationConstraint", "EquivalenceWitness",
     "Graph", "LocalUnitary", "OrbitMember", "OrbitReport", "PauliString",
     "StabilizerSet", "StateVector", "VerificationReport",
     "apply_local", "apply_pauli", "build_chi00",

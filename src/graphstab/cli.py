@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 from typing import Callable, TypeVar
 
+import numpy as np
+
 from . import reference
 from .entanglement import Bipartition, entropy, is_product_across, reduce
 from .graphs import graph_from_dict, graph_to_dict, graph_to_dot
@@ -89,7 +91,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     _emit({
         "cut": list(cut.side_a),
         "complement": list(cut.side_b),
-        "eigenvalues": [float(v) for v in rho.eigenvalues()],
+        "eigenvalues": [float(v) for v in np.linalg.eigvalsh(rho)[::-1]],
         "entropy_bits": entropy(rho),
         "product_across_cut": is_product_across(state, cut),
     })

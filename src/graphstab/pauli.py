@@ -8,8 +8,9 @@ with Y = i X Z, so the letter Y at one qubit contributes (x=1, z=1) and one
 factor of i absorbed into ``phase_exp``.  Bit q of a mask is the qubit at
 position q; positions follow the owning graph/state's vertex order.
 
-Conjugation by a local Clifford reads each factor's images of X and Z off
-dense 2x2 conjugation and multiplies them symbolically.
+Conjugation by a local Clifford reads the images of X and Z under the factors
+it needs off one batched dense 2x2 conjugation and multiplies them
+symbolically.
 """
 from __future__ import annotations
 
@@ -161,39 +162,35 @@ _SIGNED_PAULIS = tuple(PauliString.from_letters(letter, sign) for letter in "XYZ
 _X_Z = np.array([PAULI_MATS["X"], PAULI_MATS["Z"]])
 
 
-def _clifford_images(f: np.ndarray) -> tuple[PauliString, PauliString] | None:
-    """f X f+ and f Z f+ as one-qubit Paulis, or None if either is not a signed Pauli.
+def _clifford_images(fs: np.ndarray) -> np.ndarray:
+    """f X f+ and f Z f+ for each factor f of a (k, 2, 2) stack, as (k, 2) indices.
 
-    An image is the first signed Pauli (X, -X, Y, -Y, Z, -Z) within ATOL in
-    every entry.
+    An index points into the six signed Paulis (X, -X, Y, -Y, Z, -Z): the
+    first one within ATOL in every entry, or -1 if the image is none of them.
     """
-    images = f @ _X_Z @ f.conj().T
-    hits = np.max(np.abs(images[:, None] - _SIGNED_MATS), axis=(2, 3)) <= ATOL  # (2, 6)
-    if not hits.any(axis=1).all():
-        return None
-    ix, iz = hits.argmax(axis=1)
-    return _SIGNED_PAULIS[ix], _SIGNED_PAULIS[iz]
+    images = fs[:, None] @ _X_Z @ fs.conj().swapaxes(1, 2)[:, None]  # (k, 2, 2, 2)
+    hits = np.max(np.abs(images[:, :, None] - _SIGNED_MATS), axis=(3, 4)) <= ATOL  # (k, 2, 6)
+    return np.where(hits.any(axis=2), hits.argmax(axis=2), -1)
 
 
 def conjugate_by_local(u: LocalUnitary, p: PauliString) -> PauliString:
     """The exact signed Pauli U p U+, for a local Clifford U.
 
-    Each factor's images of X and Z come from dense 2x2 conjugation and are
-    multiplied symbolically, so the global phase of `u` never enters.  A
-    factor that does not map X and Z to signed Paulis raises, naming the qubit.
+    The images of X and Z under each factor that `p` touches come from one
+    batched dense 2x2 conjugation and are multiplied symbolically, so the
+    global phase of `u` never enters.  A factor there that does not map X and
+    Z to signed Paulis raises, naming the qubit.
     """
     if u.n != p.n:
         raise ValueError("qubit counts differ")
+    touched = [q for q in range(p.n) if (p.x | p.z) >> q & 1]
     phase = p.phase_exp
     x_out = z_out = 0
-    for q in range(p.n):
-        bits = (p.x >> q & 1, p.z >> q & 1)
-        if not any(bits):
-            continue
-        images = _clifford_images(u.factors[q])
-        if images is None:
+    for q, indices in zip(touched, _clifford_images(u.factors[touched]).tolist()):
+        if -1 in indices:
             raise ValueError(f"factor on qubit {q} is not a Clifford")
-        image = multiply(*(img for img, bit in zip(images, bits) if bit))
+        bits = (p.x >> q & 1, p.z >> q & 1)
+        image = multiply(*(_SIGNED_PAULIS[i] for i, bit in zip(indices, bits) if bit))
         phase += image.phase_exp
         x_out |= image.x << q
         z_out |= image.z << q

@@ -105,6 +105,27 @@ class TestOutputPins:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "d389c471517f3a17be4733d08912601f0bd959b553ce4a7b0d8c12f2e456dd07")
 
+    def test_entropy_of_chi_on_diagonal_cut(self, capsys, chi_file):
+        code, out, _ = run(capsys, "entropy", chi_file, "--cut", "A3,B2")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f77732bf3b3f284ad2159829e15041675fd0607a63cf9afc7616ca2b9368908b")
+
+    def test_entropy_of_ring12_on_half_ring(self, capsys, tmp_path):
+        # the largest reduced state the dense limit allows: 64 x 64
+        ring = [f"r{i}" for i in range(12)]
+        graph = tmp_path / "ring12.json"
+        graph.write_text(json.dumps({"vertices": ring,
+                                     "edges": [[ring[i], ring[i - 1]] for i in range(12)]}))
+        code, out, _ = run(capsys, "state", "build", "graph", str(graph))
+        assert code == 0
+        state = tmp_path / "ring12_state.json"
+        state.write_text(out)
+        code, out, _ = run(capsys, "entropy", str(state), "--cut", ",".join(ring[:6]))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ba365c52e21f793a0ea2f59f6e45a13b0fc1bba85e6d3a4704097ee9d5cdd6b2")
+
 
 class TestStateBuild:
     def test_chi00(self, capsys):
@@ -192,6 +213,20 @@ class TestEntropyCommand:
     def test_full_cut_rejected(self, capsys, chi_file):
         code, _, err = run(capsys, "entropy", chi_file, "--cut", "A3,A4,B1,B2")
         assert code == 2
+
+    # |norm - 1| = 0.8e-9 is within the tolerance StateVector accepts
+    @pytest.mark.parametrize("amps, bits, product", [
+        (np.array([1, 0, 0, 1]) / math.sqrt(2), 1.0, False),
+        (np.array([1, 0, 0, 0]), 0.0, True),
+    ], ids=["bell", "basis"])
+    def test_state_at_the_norm_tolerance(self, capsys, tmp_path, amps, bits, product):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(state_to_dict(StateVector(("a", "b"), amps * (1 + 0.8e-9)))))
+        code, out, err = run(capsys, "entropy", str(path), "--cut", "a")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["entropy_bits"] == pytest.approx(bits, abs=1e-8)
+        assert doc["product_across_cut"] is product
 
 
 class TestGhzCheckCommand:

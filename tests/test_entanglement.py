@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from graphstab import (Bipartition, DensityMatrix, apply_local, entropy,
-                       is_product_across, reduce)
-from graphstab.states import StateVector
+from graphstab import Bipartition, apply_local, entropy, is_product_across, reduce
+from graphstab.states import ATOL, StateVector
 
 from strategies import local_cliffords, random_states
 
 BELL = np.array([1, 0, 0, 1]) / math.sqrt(2)
+# |norm - 1| = 0.8e-9 <= ATOL: StateVector accepts it, and the trace of a reduced
+# state, |norm|^2, is then 1.6e-9 away from 1
+EDGE_SCALE = 1 + 0.8e-9
 
 
 def bell_pair_product():
@@ -23,16 +26,17 @@ class TestReduce:
     def test_pure_marginal_of_basis_state(self):
         s = StateVector(("a", "b"), [1, 0, 0, 0])
         rho = reduce(s, Bipartition.of(s, ("a",)))
-        assert np.allclose(rho.entries, [[1, 0], [0, 0]])
+        assert type(rho) is np.ndarray and rho.dtype == complex
+        assert np.allclose(rho, [[1, 0], [0, 0]])
 
     def test_chi_marginal_on_first_pair_is_maximally_mixed(self, chi):
         rho = reduce(chi, Bipartition.of(chi, ("A3", "A4")))
-        assert np.max(np.abs(rho.entries - np.eye(4) / 4)) < 1e-12
+        assert np.max(np.abs(rho - np.eye(4) / 4)) < 1e-12
 
     def test_chi_marginal_on_diagonal_pair_has_rank_two(self, chi):
         # frozen from the dense oracle: eigenvalues (1/2, 1/2, 0, 0)
         rho = reduce(chi, Bipartition.of(chi, ("A3", "B2")))
-        assert np.allclose(rho.eigenvalues(), [0.5, 0.5, 0.0, 0.0], atol=1e-9)
+        assert np.allclose(np.linalg.eigvalsh(rho)[::-1], [0.5, 0.5, 0.0, 0.0], atol=1e-9)
 
     def test_label_mismatch(self, chi):
         cut = Bipartition(("A3",), ("A4", "B1"))
@@ -110,16 +114,51 @@ class TestValidation:
         with pytest.raises(ValueError, match="'Q9'"):
             Bipartition.of(chi, ("Q9",))
 
-    def test_density_matrix_validation(self):
-        with pytest.raises(ValueError, match="hermitian"):
-            DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(2))
-        with pytest.raises(ValueError, match="positive"):
-            DensityMatrix(np.diag([1.5, -0.5]))
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_density_matrix_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match="density matrix"):
-            DensityMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+class TestToleranceEdge:
+    """States that StateVector accepts with |norm - 1| close to ATOL."""
+
+    def test_scaled_bell_pair(self):
+        s = StateVector(("a", "b"), BELL * EDGE_SCALE)
+        cut = Bipartition.of(s, ("a",))
+        assert entropy(reduce(s, cut)) == pytest.approx(1.0, abs=1e-8)
+        assert is_product_across(s, cut) is False
+
+    def test_scaled_basis_state(self):
+        s = StateVector(("a", "b"), np.array([1, 0, 0, 0]) * EDGE_SCALE)
+        cut = Bipartition.of(s, ("a",))
+        assert entropy(reduce(s, cut)) == pytest.approx(0.0, abs=1e-8)
+        assert is_product_across(s, cut) is True
+
+
+def all_cuts(names):
+    for size in range(1, len(names)):
+        yield from itertools.combinations(names, size)
+
+
+def schmidt_entropy(s: StateVector, side: tuple[str, ...]) -> float:
+    """Shannon entropy (bits) of the squared singular values of the amplitudes
+    reshaped to side x rest: the entropy without forming a reduced state."""
+    rest = [s.position(name) for name in s.names if name not in side]
+    t = s.amps.reshape([2] * s.n).transpose([s.position(name) for name in side] + rest)
+    p = np.linalg.svd(t.reshape(2 ** len(side), -1), compute_uv=False) ** 2
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
+
+
+class TestAgainstSchmidtOracle:
+    @given(s=random_states(max_n=6))
+    def test_entropy_matches_singular_values_on_every_cut(self, s):
+        for side in all_cuts(s.names):
+            got = entropy(reduce(s, Bipartition.of(s, side)))
+            assert got == pytest.approx(schmidt_entropy(s, side), abs=1e-9)
+
+    @given(a=random_states(max_n=3), b=random_states(max_n=3), data=st.data(),
+           scale=st.floats(-0.9 * ATOL, 0.9 * ATOL))
+    def test_products_of_random_states_are_products(self, a, b, data, scale):
+        n = a.n + b.n
+        names = data.draw(st.permutations([f"q{i}" for i in range(n)]))
+        s = StateVector(tuple(names), np.kron(a.amps, b.amps) * (1 + scale))
+        side = tuple(names[:a.n])
+        assert is_product_across(s, Bipartition.of(s, side)) is True
+        assert entropy(reduce(s, Bipartition.of(s, side))) == pytest.approx(0.0, abs=1e-8)

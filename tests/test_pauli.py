@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from graphstab import (LocalUnitary, PauliString, commutes, conjugate_by_local,
                        independent, multiply)
 from graphstab import reference
-from graphstab.localops import pauli_rotation
-from graphstab.pauli import _dependencies
+from graphstab.localops import PAULI_MATS, pauli_rotation, single_qubit_cliffords
+from graphstab.pauli import _clifford_images, _dependencies
 
 from strategies import local_cliffords, paulis
 
@@ -142,6 +142,23 @@ class TestConjugateByLocal:
         u = LocalUnitary.embed(3, {1: factor})
         with pytest.raises(ValueError, match="qubit 1"):
             conjugate_by_local(u, PauliString.from_letters(letters))
+
+    def test_first_non_clifford_touched_is_named(self):
+        u = LocalUnitary.embed(4, {1: pauli_rotation("X", 0.3), 3: pauli_rotation("Z", 0.3)})
+        with pytest.raises(ValueError, match="qubit 1"):
+            conjugate_by_local(u, PauliString.from_letters("IZIX"))
+        with pytest.raises(ValueError, match="qubit 3"):
+            conjugate_by_local(u, PauliString.from_letters("XIZX"))
+
+    def test_clifford_images_match_one_factor_at_a_time(self):
+        signed = [sign * PAULI_MATS[letter] for letter in "XYZ" for sign in (1, -1)]
+        factors = np.concatenate([single_qubit_cliffords(),
+                                  [pauli_rotation("X", 0.3), np.diag([1, np.exp(1j * np.pi / 4)])]])
+        want = [[next((i for i, m in enumerate(signed) if np.allclose(f @ p @ f.conj().T, m,
+                                                                       rtol=0, atol=1e-9)), -1)
+                 for p in (PAULI_MATS["X"], PAULI_MATS["Z"])] for f in factors]
+        assert _clifford_images(factors).tolist() == want
+        assert len({tuple(row) for row in want[:24]}) == 24 and want[24:] == [[0, -1], [-1, 4]]
 
     def test_non_clifford_skipped_when_identity_hit(self):
         # a non-Clifford factor on a qubit the Pauli does not touch is fine
