@@ -156,10 +156,15 @@ def graph_from_dict(data: object) -> Graph:
         raise ValueError(f"edges/vertices: {exc}") from None
 
 
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}  # in any case
+
+
 def _dot_id(name: str) -> str:
-    if name and (name[0].isalpha() or name[0] == "_") and all(c.isalnum() or c == "_" for c in name):
+    """`name` bare if it is a non-keyword identifier, else quoted with `\\` and `"` escaped."""
+    bare = name and (name[0].isalpha() or name[0] == "_") and all(c.isalnum() or c == "_" for c in name)
+    if bare and name.lower() not in _DOT_KEYWORDS:
         return name
-    return '"' + name.replace('"', '\\"') + '"'
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def graph_to_dot(g: Graph, graph_name: str = "") -> str:

@@ -1,6 +1,8 @@
 """GHZ-argument machinery: outcome-correlation constraints from stabilizer
 elements, their quantum predictions, and exact local-hidden-variable
-satisfiability by two independent routes.
+satisfiability by two independent routes: ``ghz-check`` reads its verdict
+from :func:`lhv_contradiction_certificate` alone, and ``verify-all`` also runs
+the reference scan :func:`lhv_solve_exhaustive` and checks that they agree.
 
 A constraint says ``prod over terms of m_axis^qubit = sign`` for deterministic
 outcomes m = +-1.  The LHV universe is every (qubit, axis in {x, z}) pair for
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import xor
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .pauli import PauliString, _dependencies, multiply
 from .states import ATOL, StateVector, expectation
@@ -22,8 +24,6 @@ from .states import ATOL, StateVector, expectation
 AXES = ("x", "z")
 MAX_UNIVERSE = 16
 _NULLSPACE_SCAN_CAP = 16  # enumerate 2^dim dependency combinations up to here
-
-LhvAssignment = Mapping[tuple[str, str], int]
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,6 @@ class CorrelationConstraint:
         for q, axis in self.terms:
             if axis not in AXES:
                 raise ValueError(f"axis must be one of {AXES}, got {axis!r} on {q!r}")
-
-    def evaluate(self, assignment: LhvAssignment) -> bool:
-        prod = 1
-        for term in self.terms:
-            prod *= assignment[term]
-        return prod == self.sign
 
     def to_text(self) -> str:
         if not self.terms:

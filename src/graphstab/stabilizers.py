@@ -34,9 +34,6 @@ class StabilizerSet:
     def n(self) -> int:
         return self.generators[0].n
 
-    def to_text(self) -> str:
-        return "\n".join(g.to_text() for g in self.generators)
-
 
 def graph_generators(g: Graph) -> StabilizerSet:
     """One generator per vertex: X there, Z on each neighbor, sign +1."""

@@ -242,6 +242,18 @@ class TestGhzCheckCommand:
             assert entry["satisfied"] is True
             assert entry["expectation"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_satisfiable_settings_exit_1(self, capsys, monkeypatch):
+        # any three of the four settings admit a local-hidden-variable model
+        first_three = reference.ghz_origins()[:3], reference.ghz_constraints()[:3]
+        monkeypatch.setattr(reference, "ghz_origins", lambda: first_three[0])
+        monkeypatch.setattr(reference, "ghz_constraints", lambda: first_three[1])
+        code, out, _ = run(capsys, "ghz-check")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["quantum_all_satisfied"] is True
+        assert doc["lhv_satisfiable"] is True
+        assert doc["contradiction"] == {"found": False, "subset": []}
+
 
 class TestLcSearchCommand:
     def test_finds_witness(self, capsys, tmp_path, state_b, chi):

@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +11,19 @@ from graphstab import Graph, canonical_key, local_complement
 from graphstab.graphs import _complements, graph_from_dict, graph_to_dict, graph_to_dot
 
 from strategies import graphs
+
+DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+
+
+def quoted_end(text):
+    """Index just past the DOT quoted string that opens `text`, or None if it
+    never closes; a backslash and the character after it form one unit."""
+    i = 1
+    while i < len(text):
+        if text[i] == '"':
+            return i + 1
+        i += 2 if text[i] == "\\" else 1
+    return None
 
 
 class TestConstruction:
@@ -180,3 +194,15 @@ class TestInterchange:
         assert "  A3;" in dot
         assert "  A3 -- A4;" in dot
         assert dot.rstrip().endswith("}")
+
+    def test_dot_ids_are_well_formed_and_distinct(self):
+        labels = ["node", "Edge", "a\\", 'a"b', 'a\\"b']
+        dot = graph_to_dot(Graph.from_edges(labels, [("node", "Edge")])).splitlines()
+        ids = [line[2:-1] for line in dot[1:1 + len(labels)]]
+        assert dot[1 + len(labels)] == f"  {ids[0]} -- {ids[1]};"
+        for dot_id in ids:
+            if re.fullmatch(r"[A-Za-z_]\w*", dot_id):
+                assert dot_id.lower() not in DOT_KEYWORDS
+            else:
+                assert dot_id.startswith('"') and quoted_end(dot_id) == len(dot_id)
+        assert len(set(ids)) == len(labels)

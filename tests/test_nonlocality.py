@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -30,13 +31,17 @@ def systems(draw, max_labels=4, max_constraints=10):
     return constraints
 
 
+def holds(c, assignment):
+    return math.prod(assignment[term] for term in c.terms) == c.sign
+
+
 def reference_exhaustive(constraints):
-    """One assignment dict per candidate, each constraint checked with evaluate."""
+    """One assignment dict per candidate, each constraint checked with holds."""
     labels = sorted({q for c in constraints for q, _ in c.terms})
     pairs = [(q, axis) for q in labels for axis in ("x", "z")]
     for mask in range(2 ** len(pairs)):
         assignment = {pair: -1 if mask >> j & 1 else 1 for j, pair in enumerate(pairs)}
-        if all(c.evaluate(assignment) for c in constraints):
+        if all(holds(c, assignment) for c in constraints):
             return True, assignment
     return False, None
 
@@ -145,14 +150,14 @@ class TestExhaustiveSolver:
             rest = [c for i, c in enumerate(constraints) if i != drop]
             satisfiable, witness = lhv_solve_exhaustive(rest)
             assert satisfiable
-            assert all(c.evaluate(witness) for c in rest)
+            assert all(holds(c, witness) for c in rest)
 
     def test_first_three_witness_is_valid(self, settings):
         constraints, _ = settings
         satisfiable, witness = lhv_solve_exhaustive(constraints[:3])
         assert satisfiable
         assert len(witness) == 8  # both axes for all four qubits
-        assert all(c.evaluate(witness) for c in constraints[:3])
+        assert all(holds(c, witness) for c in constraints[:3])
 
     def test_empty_system(self):
         satisfiable, witness = lhv_solve_exhaustive([])
@@ -229,7 +234,7 @@ class TestCertificate:
             contradiction, subset = lhv_contradiction_certificate(constraints)
             assert sat == (not contradiction)
             if sat:
-                assert all(c.evaluate(witness) for c in constraints)
+                assert all(holds(c, witness) for c in constraints)
             else:
                 # the certified subset really is a parity clash
                 sign = 1

@@ -1,9 +1,14 @@
 import json
+import math
 import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from graphstab import lc
+from graphstab.localops import pauli_rotation
 
 ORBIT_CENSUS = str(Path(__file__).resolve().parent.parent / "scripts" / "orbit_census.py")
 
@@ -25,6 +30,26 @@ class TestOrbitCensus:
         assert code == 0
         assert "orbit size: 3  truncated: True" in out
         assert "BAD" not in out
+
+    @pytest.mark.parametrize("n, first", [(None, "A3"), (7, "r0")])
+    def test_failed_witness_exits_1(self, monkeypatch, capsys, tmp_path, n, first):
+        # the wrong sign of the complemented vertex's X rotation breaks every
+        # witness past the seed; at 7 vertices only the census's verify=True
+        # runs the dense check
+        wrong = np.array(lc._TAU_STACK)
+        wrong[2] = pauli_rotation("X", -math.pi / 4)
+        monkeypatch.setattr(lc, "_TAU_STACK", wrong)
+        argv = []
+        if n is not None:
+            ring = [f"r{i}" for i in range(n)]
+            path = tmp_path / "ring.json"
+            path.write_text(json.dumps({"vertices": ring,
+                                        "edges": [[ring[i], ring[i - 1]] for i in range(n)]}))
+            argv = [str(path), "--max", "20"]
+        code, out, err = run_script(monkeypatch, capsys, ORBIT_CENSUS, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"orbit_census.py: orbit witness for path ('{first}',) failed the dense check\n"
 
     @pytest.mark.parametrize("bad", ["0", "-3"])
     def test_max_must_be_positive(self, monkeypatch, capsys, bad):
