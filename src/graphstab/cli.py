@@ -61,7 +61,12 @@ def _cmd_state(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
-    report = enumerate_orbit(load(args.graph_file, graph_from_dict), max_members=args.max)
+    seed = load(args.graph_file, graph_from_dict)
+    try:
+        report = enumerate_orbit(seed, max_members=args.max)
+    except RuntimeError as exc:  # a witness failed the dense check
+        print(f"graphstab: {exc}", file=sys.stderr)
+        return 1
     if args.format == "dot":
         blocks = []
         for i, member in enumerate(report.members):
@@ -178,7 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
                                        "(verify-all also cross-checks it by an exhaustive scan)")
     p_ghz.set_defaults(func=_cmd_ghz_check)
 
-    p_search = sub.add_parser("lc-search", help="brute-force local-Clifford equivalence search")
+    p_search = sub.add_parser("lc-search", help="exact local-Clifford equivalence search",
+                              description="the first per-qubit Clifford assignment, in "
+                                          "lexicographic order, that maps source to target "
+                                          "up to global phase, from a scan of all 24^n; a "
+                                          "pair whose Pauli spectra differ is answered "
+                                          "without the scan")
     p_search.add_argument("source")
     p_search.add_argument("target")
     p_search.set_defaults(func=_cmd_lc_search)

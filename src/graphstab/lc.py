@@ -1,4 +1,4 @@
-"""Local-complementation unitaries, LC-orbit enumeration, and brute-force
+"""Local-complementation unitaries, LC-orbit enumeration, and exact
 local-Clifford equivalence search between dense states.
 
 An orbit is a level-synchronous breadth-first closure.  Each level is a
@@ -15,7 +15,11 @@ members' graph states, built by the batched kernel of
 :mod:`graphstab.states` that also backs ``build_graph_state``, in batches of
 at most 2^12 amplitudes.
 
-The search space per qubit is the canonical (24, 2, 2) Clifford stack from
+The search first compares the two states' Pauli spectra, the sorted
+magnitudes of their 4^n Pauli expectations, which local Cliffords only
+permute; a pair whose spectra differ by more than any hit allows is answered
+found=False without a scan.  Every other pair is scanned.  The search space
+per qubit is the canonical (24, 2, 2) Clifford stack from
 :mod:`graphstab.localops`; assignments are scanned in lexicographic order
 over positions, so witnesses are deterministic across runs.  The scan fixes
 leading qubits by recursion and covers the last three in leaves of 24^3
@@ -39,7 +43,7 @@ import numpy as np
 
 from .graphs import Graph, _complements
 from .localops import ATOL, MAX_QUBITS, LocalUnitary, pauli_rotation, single_qubit_cliffords
-from .states import StateVector, _apply_factor, _check_same_qubits, _graph_state_amps
+from .states import StateVector, _apply_factor, _check_same_qubits, _graph_state_amps, _pauli_spectrum
 
 MAX_SEARCH_QUBITS = 6
 _BATCH_TAIL = 3  # qubits handled by one fully vectorized block
@@ -49,6 +53,14 @@ _TAU_STACK.setflags(write=False)  # indexed by neighbor bit, 2 on the vertex its
 _TAU_PHASE = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
 _LEVEL_BLOCK = 1 << 10  # members per batched witness product; bounds its temporaries
 _DENSE_CHUNK = 1 << 12  # amplitudes per batch of the orbit's dense check
+# How far a hit lets one Pauli expectation move.  A hit has |<t|U s>| >= 1 - ATOL,
+# and StateVector admits norms within ATOL of 1, so with the phase chosen to make
+# the overlap real, ||t - e^{i phi} U s||^2 <= 2 (1 + ATOL)^2 - 2 (1 - ATOL)
+# = 6 ATOL + 2 ATOL^2.  Then |<t|P|t> - <v|P|v>| <= (||t|| + ||v||) ||t - v||
+# for v = e^{i phi} U s, whose expectations are those of s up to order and sign;
+# magnitudes and sorting move no entry further.  The ATOL on top is a round-off
+# margin, far above the ~1e-14 error of a sum over the 2^6 amplitudes.
+_SPECTRUM_SLACK = 2 * (1 + ATOL) * math.sqrt(6 * ATOL + 2 * ATOL**2) + ATOL
 
 
 def _tau_factors(nbs: np.ndarray, vertices: np.ndarray, n: int) -> np.ndarray:
@@ -202,12 +214,18 @@ class EquivalenceWitness:
 
 
 def lc_search(source: StateVector, target: StateVector) -> EquivalenceWitness:
-    """Exhaustive scan of per-qubit Clifford assignments mapping source to target.
+    """Exact search for a per-qubit Clifford assignment mapping source to target.
 
     Returns the first match in canonical (lexicographic) enumeration order,
-    with the witness global phase fixed so the map is exact, or found=False
-    after all 24^n candidates.  Both states must list the same labels in the
-    same order, since amplitudes are compared by position.
+    with the witness global phase fixed so the map is exact, or found=False.
+    Both states must list the same labels in the same order, since amplitudes
+    are compared by position.
+
+    A pair whose Pauli spectra (the sorted |<psi|P|psi>| over all 4^n Paulis)
+    differ anywhere by more than a hit allows is answered found=False without
+    the scan; the slack is wide enough that this never drops a hit, so the
+    answer and witness are the scan's.  Every other miss is found=False after
+    all 24^n candidates.
 
     The leading n - 3 qubits are fixed one Clifford at a time by recursion;
     the last min(n, 3) are scanned together, in leaves of 24^3 candidates.  A
@@ -222,6 +240,8 @@ def lc_search(source: StateVector, target: StateVector) -> EquivalenceWitness:
     n = source.n
     if n > MAX_SEARCH_QUBITS:
         raise ValueError(f"search limited to {MAX_SEARCH_QUBITS} qubits (24^n candidates)")
+    if np.max(np.abs(_pauli_spectrum(source) - _pauli_spectrum(target))) > _SPECTRUM_SLACK:
+        return EquivalenceWitness(False, None)
     cliffs = single_qubit_cliffords()
     stack = cliffs.reshape(24, 4)
     t = min(n, _BATCH_TAIL)

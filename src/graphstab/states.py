@@ -79,6 +79,29 @@ def _bit_table(n: int) -> np.ndarray:
     return bits
 
 
+@lru_cache(maxsize=MAX_QUBITS)
+def _walsh_table(n: int) -> np.ndarray:
+    """Read-only float64 (2^n, 2^n) table: entry (x, b) is (-1)^popcount(x & b)."""
+    bits = _bit_table(n)
+    table = 1.0 - 2.0 * ((bits.T @ bits).astype(np.int64) & 1)  # float32 counts <= n are exact
+    table.setflags(write=False)
+    return table
+
+
+def _pauli_spectrum(s: StateVector) -> np.ndarray:
+    """The 4^n magnitudes |<s|P|s>| over all Paulis P, sorted ascending.
+
+    Up to sign, <s| X^a Z^b |s> = sum_x s*(x) s(x ^ a) (-1)^popcount(x & b):
+    row a of the correlations corr[a, x] = s*(x) s(x ^ a) times column b of
+    the Walsh table.  Local Cliffords permute the Paulis up to sign, so
+    local-Clifford-equivalent states have equal spectra (Van den Nest,
+    Dehaene, De Moor, PRA 69, 022316 (2004)).
+    """
+    x = np.arange(s.amps.size)
+    corr = s.amps.conj() * s.amps[x[:, None] ^ x]
+    return np.sort(np.abs(corr @ _walsh_table(s.n)), axis=None)
+
+
 def _graph_state_amps(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
     """Real (M, 2^n) amplitudes of the graph states whose adjacency rows are rows[k].
 

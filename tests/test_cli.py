@@ -7,9 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from graphstab import cli, reference
+from graphstab import cli, lc, reference
 from graphstab.cli import main
 from graphstab.graphs import graph_to_dict
+from graphstab.localops import pauli_rotation
 from graphstab.states import state_to_dict, StateVector
 from graphstab.verify import verify_all
 
@@ -192,6 +193,18 @@ class TestOrbitCommand:
         assert code == 0
         assert out.count("graph member") == 11
         assert "A3 -- A4;" in out
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_failed_witness_exits_1(self, capsys, monkeypatch, graph_file, fmt):
+        # the wrong sign of the complemented vertex's X rotation breaks every
+        # witness past the seed
+        wrong = np.array(lc._TAU_STACK)
+        wrong[2] = pauli_rotation("X", -math.pi / 4)
+        monkeypatch.setattr(lc, "_TAU_STACK", wrong)
+        code, out, err = run(capsys, "orbit", graph_file, "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err == "graphstab: orbit witness for path ('A3',) failed the dense check\n"
 
 
 class TestEntropyCommand:

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphstab import (Graph, LocalUnitary, apply_local, build_chi00, build_graph_state,
-                       canonical_key, enumerate_orbit, equal_up_to_global_phase, lc_search,
+from graphstab import (EquivalenceWitness, Graph, LocalUnitary, PauliString, apply_local,
+                       apply_pauli, build_chi00, build_graph_state, canonical_key,
+                       enumerate_orbit, equal_up_to_global_phase, expectation, lc_search,
                        local_complement, single_qubit_cliffords, tau_unitary)
 from graphstab import lc
 from graphstab.lc import OrbitMember, OrbitReport, _DENSE_CHUNK, _dense_overlaps, _verify_orbit
 from graphstab.localops import ATOL, PAULI_MATS, pauli_rotation
-from graphstab.states import StateVector, _graph_state_amps, max_residual, overlap
+from graphstab.states import StateVector, _graph_state_amps, _pauli_spectrum, max_residual, overlap
 
 from strategies import graphs, local_cliffords, random_states
 from test_states import cz_reference
@@ -581,3 +582,37 @@ class TestEarlyReject:
             if found:
                 assert clifford_indices(got.unitary) == clifford_indices(exact.unitary)
                 assert abs(got.unitary.global_phase - exact.unitary.global_phase) <= 1e-12
+
+
+class TestSpectrumReject:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tolerance_edge_hit_keeps_the_scan_witness(self, seed):
+        # Source and target at norm 1 + 0.9 ATOL with |overlap| 1 - 0.9 ATOL: the
+        # target tilts the image u by theta toward Q u, for a one-qubit Pauli Q
+        # with <u|Q|u> = 0, which moves |<Q>| from 0 to about 1.47e-4, past the
+        # slack 2 sqrt(2 ATOL) that leaves out the norm tolerance.
+        n = 2 + seed % 4
+        graph, image = seeded_pair(n, "hit", seed)
+        scale = 1.0 + 0.9 * ATOL
+        q = next(p for p in (PauliString.from_letters(c + "I" * (n - 1)) for c in "XYZ")
+                 if abs(expectation(p, image)) < 1e-12)
+        theta = math.acos((1.0 - 0.9 * ATOL) / scale**2)
+        source = StateVector(graph.names, scale * graph.amps)
+        target = StateVector(graph.names, scale * (math.cos(theta) * image.amps
+                                                   + math.sin(theta) * apply_pauli(q, image).amps))
+        assert np.max(np.abs(_pauli_spectrum(source) - _pauli_spectrum(target))) > 2 * math.sqrt(2 * ATOL)
+        want = lc_search_tensordot(source, target)
+        got = lc_search(source, target)
+        assert want is not None and got.found
+        assert clifford_indices(got.unitary) == want[0]
+        assert got.unitary.global_phase == want[1]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_differing_spectra_skip_the_scan(self, monkeypatch, n):
+        def no_scan(*args):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(lc, "_apply_factor", no_scan)
+        assert lc_search(*seeded_pair(n, "random", 0)) == EquivalenceWitness(False, None)
+        with pytest.raises(AssertionError, match="the scan ran"):  # graph states share a spectrum
+            lc_search(*seeded_pair(n, "graph", 0))

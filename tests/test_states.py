@@ -11,8 +11,8 @@ from graphstab import (Graph, LocalUnitary, PauliString, apply_local, apply_paul
                        equal_up_to_global_phase, expectation)
 from graphstab import reference
 from graphstab.localops import PAULI_MATS
-from graphstab.states import (StateVector, _apply_factor, _bit_table, allclose, max_residual,
-                              overlap, state_from_dict, state_to_dict)
+from graphstab.states import (StateVector, _apply_factor, _bit_table, _pauli_spectrum, allclose,
+                              max_residual, overlap, state_from_dict, state_to_dict)
 
 from strategies import graphs, local_cliffords, paulis, random_states
 
@@ -198,6 +198,15 @@ class TestExpectation:
     def test_non_hermitian_rejected(self, chi):
         with pytest.raises(ValueError, match="hermitian"):
             expectation(PauliString(4, 1, 0, 1), chi)
+
+
+class TestPauliSpectrum:
+    @given(random_states(max_n=3))
+    def test_matches_sorted_expectations(self, s):
+        # the hermitian PauliString with letters x, z has phase_exp = #Y mod 4
+        want = sorted(abs(expectation(PauliString(s.n, x, z, (x & z).bit_count() % 4), s))
+                      for x in range(2**s.n) for z in range(2**s.n))
+        np.testing.assert_allclose(_pauli_spectrum(s), want, rtol=0, atol=1e-12)
 
 
 class TestPhaseComparison:
