@@ -167,8 +167,8 @@ def _dot_id(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def graph_to_dot(g: Graph, graph_name: str = "") -> str:
-    lines = [f"graph {graph_name}{{" if not graph_name else f"graph {graph_name} {{"]
+def graph_to_dot(g: Graph, graph_name: str) -> str:
+    lines = [f"graph {graph_name} {{"]
     for name in g.names:
         lines.append(f"  {_dot_id(name)};")
     for a, b in g.edges():

@@ -10,12 +10,19 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
 ATOL = 1e-9
 MAX_QUBITS = 12  # dense limit: 2^12 amplitudes, 2^12 x 2^12 operators
+# The one tolerance of each factor's unitarity (every entry of f f+ - I) and of
+# the phase's modulus, derived so that a LocalUnitary keeps every state with
+# |norm - 1| <= ATOL/2 within ATOL.  The Hermitian f f+ - I has spectral norm at
+# most its Frobenius norm, 2 tol, so f scales norms by sqrt(1 +- 2 tol), inside
+# 1 +- 2 tol, and the phase by 1 +- tol: together 1 +- (2 MAX_QUBITS + 1) tol =
+# 1 +- ATOL/4 to first order.  The image is then within 3 ATOL/4 of unit norm;
+# the ATOL/4 left is far above the round-off of f f+ and of the norm (~1e-15).
+_UNITARY_TOL = ATOL / (4 * (2 * MAX_QUBITS + 1))
 
 PAULI_MATS: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
@@ -41,7 +48,7 @@ class LocalUnitary:
     factors: np.ndarray  # a read-only complex (n, 2, 2) copy of the input
 
     def __post_init__(self) -> None:
-        if not abs(abs(self.global_phase) - 1.0) <= ATOL:  # also rejects NaN and inf
+        if not abs(abs(self.global_phase) - 1.0) <= _UNITARY_TOL:  # also rejects NaN and inf
             raise ValueError("global phase must have unit modulus")
         f = np.array(self.factors, dtype=complex)
         if not f.size:
@@ -49,7 +56,7 @@ class LocalUnitary:
         if f.ndim != 3 or f.shape[1:] != (2, 2):
             raise ValueError(f"factors must have shape (n, 2, 2), not {f.shape}")
         err = np.max(np.abs(f @ f.conj().swapaxes(1, 2) - np.eye(2)), axis=(1, 2))
-        bad = np.flatnonzero(~(err <= ATOL))  # also rejects NaN and inf
+        bad = np.flatnonzero(~(err <= _UNITARY_TOL))  # also rejects NaN and inf
         if len(bad):
             raise ValueError(f"factor on qubit {bad[0]} is not unitary")
         f.setflags(write=False)
@@ -68,16 +75,6 @@ class LocalUnitary:
     @classmethod
     def identity(cls, n: int) -> "LocalUnitary":
         return cls(1.0, np.tile(PAULI_MATS["I"], (n, 1, 1)))
-
-    @classmethod
-    def embed(cls, n: int, placed: Mapping[int, np.ndarray], global_phase: complex = 1.0) -> "LocalUnitary":
-        """Identity everywhere except the given position -> matrix entries."""
-        facs = np.tile(PAULI_MATS["I"], (n, 1, 1))
-        for q, mat in placed.items():
-            if not 0 <= q < n:
-                raise ValueError(f"position {q} is out of range for {n} qubits")
-            facs[q] = mat
-        return cls(global_phase, facs)
 
     @property
     def n(self) -> int:

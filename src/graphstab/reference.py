@@ -41,7 +41,8 @@ def graph_b() -> Graph:
 
 def chi00_unitary() -> LocalUnitary:
     """Z on A3 and (Z after H) on B2: maps |G_b> to the chi00 state exactly."""
-    return LocalUnitary.embed(4, {0: PAULI_MATS["Z"], 3: PAULI_MATS["Z"] @ HADAMARD})
+    z, i = PAULI_MATS["Z"], PAULI_MATS["I"]
+    return LocalUnitary(1.0, [z, i, i, z @ HADAMARD])
 
 
 def plain_generators() -> StabilizerSet:

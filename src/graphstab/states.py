@@ -138,6 +138,7 @@ def _apply_factor(amps: np.ndarray, mat: np.ndarray, pos: int, n: int) -> np.nda
 
 
 def apply_local(u: LocalUnitary, s: StateVector) -> StateVector:
+    """u applied to s; never raises if |norm(s) - 1| <= ATOL/2 (see localops._UNITARY_TOL)."""
     if u.n != s.n:
         raise ValueError("qubit counts differ")
     amps = s.amps
@@ -147,19 +148,15 @@ def apply_local(u: LocalUnitary, s: StateVector) -> StateVector:
 
 
 def apply_pauli(p: PauliString, s: StateVector) -> StateVector:
-    """Exact action of a signed Pauli, including its i**phase_exp."""
+    """Exact action of a signed Pauli: amplitude y of i^k X^x Z^z |s> is
+    i^k (-1)^popcount((y ^ x) & z) s(y ^ x), masks read as amplitude indices."""
     if p.n != s.n:
         raise ValueError("qubit counts differ")
-    t = s.amps.reshape([2] * s.n).copy()
-    for q in range(s.n):
-        if p.z >> q & 1:
-            idx: list[object] = [slice(None)] * s.n
-            idx[q] = 1
-            t[tuple(idx)] *= -1
-    for q in range(s.n):
-        if p.x >> q & 1:
-            t = np.flip(t, axis=q)
-    return StateVector(s.names, (1j**p.phase_exp) * t.reshape(-1))
+    q = np.arange(s.n)
+    x = int(np.sum((p.x >> q & 1) << (s.n - 1 - q)))
+    parity = ((p.z >> q & 1).astype(np.float32) @ _bit_table(s.n)).astype(np.int64) & 1
+    signed = (1 - 2 * parity) * s.amps  # Z^z
+    return StateVector(s.names, (1j**p.phase_exp) * signed[np.arange(s.amps.size) ^ x])
 
 
 def _check_same_qubits(s: StateVector, t: StateVector) -> None:

@@ -40,18 +40,15 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "passed": self.passed,
             "tolerance": self.tolerance,
             "checks": [
                 {"name": c.name, "anchor": c.anchor, "passed": c.passed, "details": c.details}
                 for c in self.checks
             ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        }, indent=2)
 
     def to_table(self) -> str:
         lines = []

@@ -99,6 +99,19 @@ class TestOutputPins:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "ed11c0c25f821f6f94122f58141d14ec8edc0802d73584ef1c9ea01791bfd99c")
 
+    def test_orbit_of_paper_cycle_as_dot(self, capsys, graph_file):
+        code, out, _ = run(capsys, "orbit", graph_file, "--format", "dot")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1a64dd53de0265d70f3cadc222fac5c51867ccbd55cf8b049b03806325e06985")
+
+    def test_ghz_check(self, capsys):
+        # prints the four dense expectations of Eqs. (21)-(24), from apply_pauli
+        code, out, _ = run(capsys, "ghz-check")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7708377eb78d69a2edc844910d79b9b94ba2131ae7e4456d59461cae56bf3f85")
+
     def test_graph_state_of_paper_cycle(self, capsys, graph_file):
         code, out, _ = run(capsys, "state", "build", "graph", graph_file)
         assert code == 0

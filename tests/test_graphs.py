@@ -189,15 +189,15 @@ class TestInterchange:
             graph_from_dict({"vertices": ["a", "b"], "edges": [["a", "b", "a"]]})
 
     def test_dot_lists_vertices_and_edges(self, graph_a):
-        dot = graph_to_dot(graph_a)
-        assert dot.startswith("graph {")
+        dot = graph_to_dot(graph_a, "member0")
+        assert dot.startswith("graph member0 {")
         assert "  A3;" in dot
         assert "  A3 -- A4;" in dot
         assert dot.rstrip().endswith("}")
 
     def test_dot_ids_are_well_formed_and_distinct(self):
         labels = ["node", "Edge", "a\\", 'a"b', 'a\\"b']
-        dot = graph_to_dot(Graph.from_edges(labels, [("node", "Edge")])).splitlines()
+        dot = graph_to_dot(Graph.from_edges(labels, [("node", "Edge")]), "g").splitlines()
         ids = [line[2:-1] for line in dot[1:1 + len(labels)]]
         assert dot[1 + len(labels)] == f"  {ids[0]} -- {ids[1]};"
         for dot_id in ids:

@@ -113,13 +113,12 @@ class TestTauUnitary:
 
 
 def tau_unitary_reference(g: Graph, a: str) -> LocalUnitary:
-    """tau_unitary built through the validating `embed` constructor."""
+    """tau_unitary built through the validating constructor."""
     pos = g.position(a)
-    placed = {pos: pauli_rotation("X", math.pi / 4)}
-    for j in range(g.n):
-        if g.rows[pos] >> j & 1:
-            placed[j] = pauli_rotation("Z", -math.pi / 4)
-    return LocalUnitary.embed(g.n, placed, complex(math.cos(math.pi / 4), math.sin(math.pi / 4)))
+    factors = [pauli_rotation("Z", -math.pi / 4) if g.rows[pos] >> j & 1 else PAULI_MATS["I"]
+               for j in range(g.n)]
+    factors[pos] = pauli_rotation("X", math.pi / 4)
+    return LocalUnitary(complex(math.cos(math.pi / 4), math.sin(math.pi / 4)), factors)
 
 
 class TestTrustedConstructors:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphstab import (LocalUnitary, PauliString, apply_local, conjugate_by_local,
+from graphstab import (LocalUnitary, PauliString, StateVector, apply_local, conjugate_by_local,
                        single_qubit_cliffords)
-from graphstab.localops import HADAMARD, PAULI_MATS, canonical_phase, pauli_rotation
+from graphstab.localops import (ATOL, HADAMARD, MAX_QUBITS, PAULI_MATS, _UNITARY_TOL,
+                                 canonical_phase, pauli_rotation)
 
 from strategies import local_cliffords, random_states
 
@@ -86,8 +87,14 @@ class TestLocalUnitary:
         with pytest.raises(ValueError, match="qubit 1"):
             LocalUnitary(1.0, (np.eye(2), np.array([[bad, 0], [0, 1]])))
 
+    def test_rejects_factors_whose_norms_multiply_past_atol(self):
+        # each factor is within ATOL of unitary, but four of them take chi00's
+        # norm 1.8e-9 from 1, which apply_local would reject
+        with pytest.raises(ValueError, match="qubit 0"):
+            LocalUnitary(1.0, [(1 + 0.45e-9) * np.eye(2)] * 4)
+
     def test_dense_kron_order(self):
-        u = LocalUnitary.embed(2, {0: PAULI_MATS["X"]})
+        u = LocalUnitary(1.0, [PAULI_MATS["X"], np.eye(2)])
         assert np.allclose(u.dense(), np.kron(PAULI_MATS["X"], np.eye(2)))
 
     def test_factors_are_read_only(self):
@@ -117,11 +124,6 @@ class TestLocalUnitary:
         with pytest.raises(ValueError):
             LocalUnitary(1.0, factors)
 
-    @pytest.mark.parametrize("pos", [-1, 2])
-    def test_embed_rejects_out_of_range_position(self, pos):
-        with pytest.raises(ValueError, match="out of range"):
-            LocalUnitary.embed(2, {pos: PAULI_MATS["X"]})
-
 
 @st.composite
 def phased_cliffords(draw, n: int) -> LocalUnitary:
@@ -141,3 +143,38 @@ def test_stacked_algebra_matches_dense(case):
     u, v, s = case
     assert np.max(np.abs(u.compose(v).dense() - u.dense() @ v.dense())) < 1e-12
     assert np.max(np.abs(apply_local(u, s).amps - u.dense() @ s.amps)) < 1e-12
+
+
+@st.composite
+def at_the_unitary_bound(draw):
+    """A LocalUnitary whose factors and phase all stretch (or all shrink) norms
+    as far as the constructor allows, and a state within ATOL/2 of unit norm,
+    off in the same direction: random, or the product state stretched most."""
+    n = draw(st.integers(1, MAX_QUBITS))
+    direction = draw(st.sampled_from([1, -1]))
+    tol = direction * _UNITARY_TOL * (1 - 1e-3)  # a hair inside, for the round-off of f f+
+    # f f+ = I + tol [[1, 1], [1, 1]]: every entry off by tol, |+> scaled by sqrt(1 + 2 tol)
+    stretch = np.eye(2) + (np.sqrt(1 + 2 * tol) - 1) * np.full((2, 2), 0.5)
+    angles = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=3 * n, max_size=3 * n))
+    rotations = [pauli_rotation("Z", a) @ pauli_rotation("X", b) @ pauli_rotation("Z", c)
+                 for a, b, c in zip(angles[::3], angles[1::3], angles[2::3])]
+    angle = draw(st.floats(0.0, 2 * math.pi))
+    u = LocalUnitary((1 + tol) * complex(math.cos(angle), math.sin(angle)),
+                     [stretch @ r for r in rotations])
+    if draw(st.booleans()):
+        amps = np.ones(1, dtype=complex)
+        for r in rotations:
+            amps = np.kron(amps, r.conj().T @ np.array([1, 1]) / math.sqrt(2))
+    else:
+        amps = draw(random_states(n=n)).amps
+    scale = 1 + direction * draw(st.floats(0.0, ATOL / 2))
+    return u, StateVector(tuple(f"q{i}" for i in range(n)), scale * amps)
+
+
+@given(at_the_unitary_bound())
+def test_apply_local_keeps_the_norm_at_the_unitary_bound(case):
+    u, s = case
+    err = np.max(np.abs(u.factors @ u.factors.conj().swapaxes(1, 2) - np.eye(2)))
+    assert err > 0.99 * _UNITARY_TOL  # the factors sit at the bound
+    out = apply_local(u, s)  # raises if the norm left ATOL
+    assert abs(np.linalg.norm(out.amps) - 1) <= 3 * ATOL / 4

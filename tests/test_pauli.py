@@ -139,12 +139,13 @@ class TestConjugateByLocal:
         (pauli_rotation("Z", 0.3), "IZI"),
     ], ids=["x-rotation", "t-gate", "z-rotation"])
     def test_non_clifford_factor_names_qubit(self, factor, letters):
-        u = LocalUnitary.embed(3, {1: factor})
+        u = LocalUnitary(1.0, [np.eye(2), factor, np.eye(2)])
         with pytest.raises(ValueError, match="qubit 1"):
             conjugate_by_local(u, PauliString.from_letters(letters))
 
     def test_first_non_clifford_touched_is_named(self):
-        u = LocalUnitary.embed(4, {1: pauli_rotation("X", 0.3), 3: pauli_rotation("Z", 0.3)})
+        u = LocalUnitary(1.0, [np.eye(2), pauli_rotation("X", 0.3),
+                               np.eye(2), pauli_rotation("Z", 0.3)])
         with pytest.raises(ValueError, match="qubit 1"):
             conjugate_by_local(u, PauliString.from_letters("IZIX"))
         with pytest.raises(ValueError, match="qubit 3"):
@@ -162,7 +163,7 @@ class TestConjugateByLocal:
 
     def test_non_clifford_skipped_when_identity_hit(self):
         # a non-Clifford factor on a qubit the Pauli does not touch is fine
-        u = LocalUnitary.embed(2, {1: pauli_rotation("X", math.pi / 5)})
+        u = LocalUnitary(1.0, [np.eye(2), pauli_rotation("X", math.pi / 5)])
         p = PauliString.from_letters("XI")
         assert conjugate_by_local(u, p) == p
 

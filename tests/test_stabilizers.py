@@ -80,7 +80,7 @@ class TestConjugateSet:
         assert conjugate_set(LocalUnitary.identity(4), k_set) == k_set
 
     def test_hadamard_twice_restores(self, k_set):
-        u = LocalUnitary.embed(4, {2: HADAMARD})
+        u = LocalUnitary(1.0, [np.eye(2), np.eye(2), HADAMARD, np.eye(2)])
         assert conjugate_set(u, conjugate_set(u, k_set)) == k_set
 
     @given(g=graphs(min_n=2, max_n=5), data=st.data())
