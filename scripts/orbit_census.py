@@ -11,8 +11,7 @@ from collections import Counter
 
 from graphstab import enumerate_orbit
 from graphstab import reference
-from graphstab.cli import load, positive_int
-from graphstab.graphs import graph_from_dict
+from graphstab.cli import graph_from_dict, load, positive_int
 
 
 def census(graph_file: str | None, max_members: int | None) -> None:

@@ -1,4 +1,5 @@
-"""Command-line surface.
+"""Command-line surface and every file format: the JSON documents of graphs,
+states, local unitaries and the verification report, and the DOT form of graphs.
 
 Exit codes: 0 success, 1 check failed or no witness found, 2 bad input or usage.
 """
@@ -14,14 +15,130 @@ import numpy as np
 
 from . import reference
 from .entanglement import Bipartition, entropy, is_product_across, reduce
-from .graphs import graph_from_dict, graph_to_dict, graph_to_dot
+from .graphs import Graph
 from .lc import enumerate_orbit, lc_search
-from .localops import local_unitary_to_dict
+from .localops import LocalUnitary
 from .nonlocality import lhv_contradiction_certificate, quantum_check
-from .states import build_chi00, build_graph_state, state_from_dict, state_to_dict
-from .verify import verify_all
+from .states import StateVector, build_chi00, build_graph_state
+from .verify import VerificationReport, verify_all
 
 T = TypeVar("T")
+
+
+# --- documents ---
+
+def _fields(data: object, kind: str, names: tuple[str, ...]) -> list:
+    """The values of `names` in a `kind` document, which must be a JSON object holding each."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} document must be a JSON object")
+    for name in names:
+        if name not in data:
+            raise ValueError(f"missing field {name!r}")
+    return [data[name] for name in names]
+
+
+def _pair(v: complex) -> list[float]:
+    return [float(v.real), float(v.imag)]
+
+
+def graph_to_dict(g: Graph) -> dict:
+    return {"vertices": list(g.names), "edges": [list(e) for e in g.edges()]}
+
+
+def graph_from_dict(data: object) -> Graph:
+    vertices, edges = _fields(data, "graph", ("vertices", "edges"))
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise ValueError("field 'vertices' must be a list of strings")
+    if not isinstance(edges, list):
+        raise ValueError("field 'edges' must be a list of pairs")
+    pairs = []
+    for k, e in enumerate(edges):
+        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)):
+            raise ValueError(f"edges[{k}]: expected a pair of labels")
+        pairs.append((e[0], e[1]))
+    try:
+        return Graph.from_edges(vertices, pairs)
+    except ValueError as exc:
+        raise ValueError(f"edges/vertices: {exc}") from None
+
+
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}  # in any case
+
+
+def _dot_id(name: str) -> str:
+    """`name` bare if it is a non-keyword identifier, else quoted with `\\` and `"` escaped."""
+    bare = name and (name[0].isalpha() or name[0] == "_") and all(c.isalnum() or c == "_" for c in name)
+    if bare and name.lower() not in _DOT_KEYWORDS:
+        return name
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def graph_to_dot(g: Graph, graph_name: str) -> str:
+    lines = [f"graph {graph_name} {{"]
+    for name in g.names:
+        lines.append(f"  {_dot_id(name)};")
+    for a, b in g.edges():
+        lines.append(f"  {_dot_id(a)} -- {_dot_id(b)};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def state_to_dict(s: StateVector) -> dict:
+    return {"n": s.n, "order": list(s.names), "amps": [_pair(a) for a in s.amps]}
+
+
+def state_from_dict(data: object) -> StateVector:
+    n, order, amps = _fields(data, "state", ("n", "order", "amps"))
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError("field 'n' must be an integer")
+    if not isinstance(order, list) or not all(isinstance(v, str) for v in order):
+        raise ValueError("field 'order' must be a list of strings")
+    if len(order) != n:
+        raise ValueError(f"field 'n' ({n}) disagrees with 'order' length ({len(order)})")
+    if not isinstance(amps, list):
+        raise ValueError("field 'amps' must be a list of [re, im] pairs")
+    if len(amps) != 2**n:
+        raise ValueError(f"field 'amps': expected {2**n} entries, got {len(amps)}")
+    values = np.empty(2**n, dtype=complex)
+    for k, pair in enumerate(amps):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
+            raise ValueError(f"amps[{k}]: expected a [re, im] pair")
+        try:
+            values[k] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise ValueError(f"amps[{k}]: number too large for a float") from None
+    with np.errstate(over="ignore"):  # a norm past float range is inf, which StateVector rejects
+        return StateVector(tuple(order), values)
+
+
+def local_unitary_to_dict(u: LocalUnitary) -> dict:
+    return {
+        "global_phase": _pair(u.global_phase),
+        "factors": [[[_pair(f[0, 0]), _pair(f[0, 1])], [_pair(f[1, 0]), _pair(f[1, 1])]]
+                    for f in u.factors],
+    }
+
+
+def report_to_dict(report: VerificationReport) -> dict:
+    return {
+        "passed": report.passed,
+        "tolerance": report.tolerance,
+        "checks": [
+            {"name": c.name, "anchor": c.anchor, "passed": c.passed, "details": c.details}
+            for c in report.checks
+        ],
+    }
+
+
+def report_to_table(report: VerificationReport) -> str:
+    lines = []
+    for c in report.checks:
+        status = "PASS" if c.passed else "FAIL"
+        lines.append(f"{status}  {c.anchor:<28}  {c.name}")
+    done = sum(c.passed for c in report.checks)
+    lines.append(f"{done}/{len(report.checks)} checks passed")
+    return "\n".join(lines)
 
 
 def load(path: str, parse: Callable[[object], T]) -> T:
@@ -49,12 +166,8 @@ def _emit(data: dict) -> None:
 
 def _cmd_state(args: argparse.Namespace) -> int:
     if args.kind == "chi00":
-        if args.graph_file is not None:
-            raise ValueError("state build chi00 takes no file argument")
         state = build_chi00()
     else:
-        if args.graph_file is None:
-            raise ValueError("state build graph requires a graph JSON file")
         state = build_graph_state(load(args.graph_file, graph_from_dict))
     _emit(state_to_dict(state))
     return 0
@@ -98,7 +211,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
         "complement": list(cut.side_b),
         "eigenvalues": [float(v) for v in np.linalg.eigvalsh(rho)[::-1]],
         "entropy_bits": entropy(rho),
-        "product_across_cut": is_product_across(state, cut),
+        "product_across_cut": is_product_across(rho),
     })
     return 0
 
@@ -144,9 +257,9 @@ def _cmd_lc_search(args: argparse.Namespace) -> int:
 def _cmd_verify_all(args: argparse.Namespace) -> int:
     report = verify_all()
     if args.json:
-        print(report.to_json())
+        _emit(report_to_dict(report))
     else:
-        print(report.to_table())
+        print(report_to_table(report))
     return 0 if report.passed else 1
 
 
@@ -162,9 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_state = sub.add_parser("state", help="build reference states")
     state_sub = p_state.add_subparsers(dest="state_command", required=True)
     p_build = state_sub.add_parser("build", help="emit a state as JSON")
-    p_build.add_argument("kind", choices=["chi00", "graph"])
-    p_build.add_argument("graph_file", nargs="?", help="graph JSON (kind=graph only)")
-    p_build.set_defaults(func=_cmd_state)
+    build_sub = p_build.add_subparsers(dest="kind", required=True)
+    build_sub.add_parser("chi00", help="the paper's chi00 state").set_defaults(func=_cmd_state)
+    p_graph = build_sub.add_parser("graph", help="the graph state of a graph JSON file")
+    p_graph.add_argument("graph_file")
+    p_graph.set_defaults(func=_cmd_state)
 
     p_orbit = sub.add_parser("orbit", help="enumerate the local-complementation orbit")
     p_orbit.add_argument("graph_file")

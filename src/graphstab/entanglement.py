@@ -63,12 +63,12 @@ def entropy(rho: np.ndarray) -> float:
     return float(-(ev * np.log2(ev)).sum())
 
 
-def is_product_across(s: StateVector, cut: Bipartition) -> bool:
-    """True iff the marginal on side_a is pure: tr(rho^2) within ATOL of (tr rho)^2.
+def is_product_across(rho: np.ndarray) -> bool:
+    """True iff the reduced state `rho` of a cut is pure: tr(rho^2) within
+    ATOL of (tr rho)^2, so the state it came from is a product across the cut.
 
     Purity is taken relative to the trace, so a state that `StateVector`
     accepts with |norm - 1| up to ATOL is judged as its normalized self.
     """
-    rho = reduce(s, cut)
     trace = np.trace(rho).real
     return bool(abs(np.trace(rho @ rho).real - trace * trace) <= ATOL)

@@ -47,18 +47,16 @@ class Graph:
 
     @classmethod
     def from_edges(cls, names: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Graph":
+        """Graph on `names` with `edges`.  The constructor checks the labels and
+        self-loops; it cannot see an unknown label or a repeated edge."""
         names = tuple(names)
         index = {name: i for i, name in enumerate(names)}
-        if len(index) != len(names):
-            raise ValueError("vertex labels must be unique")
         rows = [0] * len(names)
         seen: set[frozenset[str]] = set()
         for a, b in edges:
             for name in (a, b):
                 if name not in index:
                     raise ValueError(f"unknown qubit label {name!r}")
-            if a == b:
-                raise ValueError(f"self-loop on {a!r}")
             pair = frozenset((a, b))
             if pair in seen:
                 raise ValueError(f"duplicate edge {sorted(pair)}")
@@ -125,53 +123,3 @@ def canonical_key(g: Graph) -> int:
         key |= row >> (i + 1) << shift  # bits j > i of row i
         shift += g.n - i - 1
     return key
-
-
-# --- JSON / DOT interchange ---
-
-def graph_to_dict(g: Graph) -> dict:
-    return {"vertices": list(g.names), "edges": [list(e) for e in g.edges()]}
-
-
-def graph_from_dict(data: object) -> Graph:
-    if not isinstance(data, dict):
-        raise ValueError("graph document must be a JSON object")
-    try:
-        vertices = data["vertices"]
-        edges = data["edges"]
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc.args[0]!r}") from None
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise ValueError("field 'vertices' must be a list of strings")
-    if not isinstance(edges, list):
-        raise ValueError("field 'edges' must be a list of pairs")
-    pairs = []
-    for k, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)):
-            raise ValueError(f"edges[{k}]: expected a pair of labels")
-        pairs.append((e[0], e[1]))
-    try:
-        return Graph.from_edges(vertices, pairs)
-    except ValueError as exc:
-        raise ValueError(f"edges/vertices: {exc}") from None
-
-
-_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}  # in any case
-
-
-def _dot_id(name: str) -> str:
-    """`name` bare if it is a non-keyword identifier, else quoted with `\\` and `"` escaped."""
-    bare = name and (name[0].isalpha() or name[0] == "_") and all(c.isalnum() or c == "_" for c in name)
-    if bare and name.lower() not in _DOT_KEYWORDS:
-        return name
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def graph_to_dot(g: Graph, graph_name: str) -> str:
-    lines = [f"graph {graph_name} {{"]
-    for name in g.names:
-        lines.append(f"  {_dot_id(name)};")
-    for a, b in g.edges():
-        lines.append(f"  {_dot_id(a)} -- {_dot_id(b)};")
-    lines.append("}")
-    return "\n".join(lines)

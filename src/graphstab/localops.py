@@ -98,16 +98,6 @@ class LocalUnitary:
         return out
 
 
-def local_unitary_to_dict(u: LocalUnitary) -> dict:
-    def c(v: complex) -> list[float]:
-        return [float(v.real), float(v.imag)]
-
-    return {
-        "global_phase": c(u.global_phase),
-        "factors": [[[c(f[0, 0]), c(f[0, 1])], [c(f[1, 0]), c(f[1, 1])]] for f in u.factors],
-    }
-
-
 # --- single-qubit Clifford group ---
 
 def canonical_phase(mat: np.ndarray) -> np.ndarray:

@@ -195,43 +195,3 @@ def max_residual(s: StateVector, t: StateVector) -> float:
 def equal_up_to_global_phase(s: StateVector, t: StateVector) -> bool:
     """True iff |<s|t>| = 1 within ATOL (both states are unit norm)."""
     return abs(abs(overlap(s, t)) - 1.0) <= ATOL
-
-
-# --- JSON interchange ---
-
-def state_to_dict(s: StateVector) -> dict:
-    return {
-        "n": s.n,
-        "order": list(s.names),
-        "amps": [[float(a.real), float(a.imag)] for a in s.amps],
-    }
-
-
-def state_from_dict(data: object) -> StateVector:
-    if not isinstance(data, dict):
-        raise ValueError("state document must be a JSON object")
-    for field in ("n", "order", "amps"):
-        if field not in data:
-            raise ValueError(f"missing field {field!r}")
-    n, order, amps = data["n"], data["order"], data["amps"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("field 'n' must be an integer")
-    if not isinstance(order, list) or not all(isinstance(v, str) for v in order):
-        raise ValueError("field 'order' must be a list of strings")
-    if len(order) != n:
-        raise ValueError(f"field 'n' ({n}) disagrees with 'order' length ({len(order)})")
-    if not isinstance(amps, list):
-        raise ValueError("field 'amps' must be a list of [re, im] pairs")
-    if len(amps) != 2**n:
-        raise ValueError(f"field 'amps': expected {2**n} entries, got {len(amps)}")
-    values = np.empty(2**n, dtype=complex)
-    for k, pair in enumerate(amps):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
-            raise ValueError(f"amps[{k}]: expected a [re, im] pair")
-        try:
-            values[k] = complex(pair[0], pair[1])
-        except OverflowError:
-            raise ValueError(f"amps[{k}]: number too large for a float") from None
-    with np.errstate(over="ignore"):  # a norm past float range is inf, which StateVector rejects
-        return StateVector(tuple(order), values)

@@ -6,7 +6,6 @@ deterministic, so `verify-all --json` output is byte-identical across runs.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,25 +38,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "checks": [
-                {"name": c.name, "anchor": c.anchor, "passed": c.passed, "details": c.details}
-                for c in self.checks
-            ],
-        }, indent=2)
-
-    def to_table(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"{status}  {c.anchor:<28}  {c.name}")
-        done = sum(c.passed for c in self.checks)
-        lines.append(f"{done}/{len(self.checks)} checks passed")
-        return "\n".join(lines)
 
 
 def verify_all() -> VerificationReport:
@@ -183,12 +163,11 @@ def verify_all() -> VerificationReport:
     ent_ok = True
     for side, want_bits in zip(reference.ENTROPY_CUTS, reference.ENTROPY_BITS):
         cut = Bipartition.of(chi, side)
-        values = []
-        for state in (chi, state_a, state_b):
-            values.append(entropy(reduce(state, cut)))
+        rhos = [reduce(state, cut) for state in (chi, state_a, state_b)]
+        values = [entropy(rho) for rho in rhos]
         ent_details["entropies"][",".join(side)] = values
         ent_ok = ent_ok and all(abs(v - want_bits) <= 1e-6 for v in values)
-        ent_ok = ent_ok and not is_product_across(chi, cut)
+        ent_ok = ent_ok and not is_product_across(rhos[0])
     checks.append(CheckResult(
         "entanglement-pattern", "entanglement (2,2,1)", ent_ok, ent_details))
 

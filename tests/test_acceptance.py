@@ -129,7 +129,7 @@ def test_criterion_10_entanglement_pattern(chi, state_a, state_b):
         for side, bits in zip(reference.ENTROPY_CUTS, reference.ENTROPY_BITS):
             cut = Bipartition.of(chi, side)
             assert abs(entropy(reduce(chi, cut)) - bits) <= ENTROPY_ATOL
-            assert not is_product_across(chi, cut)
+            assert not is_product_across(reduce(chi, cut))
             for state in (state_a, state_b):
                 assert abs(entropy(reduce(state, cut)) - bits) <= ENTROPY_ATOL
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from graphstab import cli, lc, reference
-from graphstab.cli import main
-from graphstab.graphs import graph_to_dict
-from graphstab.localops import pauli_rotation
-from graphstab.states import state_to_dict, StateVector
+from graphstab.cli import (graph_from_dict, graph_to_dict, local_unitary_to_dict, main,
+                           report_to_dict, state_from_dict, state_to_dict)
+from graphstab.localops import LocalUnitary, pauli_rotation
+from graphstab.states import StateVector
 from graphstab.verify import verify_all
+
+from strategies import graphs, local_cliffords, random_states
 
 AMP = 1.0 / (2.0 * math.sqrt(2.0))
 
@@ -48,7 +51,7 @@ class TestVerifyAll:
         assert len({c.name for c in report.checks}) == len(report.checks)
 
     def test_json_is_deterministic(self):
-        assert verify_all().to_json() == verify_all().to_json()
+        assert report_to_dict(verify_all()) == report_to_dict(verify_all())
 
     def test_sign_flip_injection_fails_conjugation_check(self, monkeypatch, capsys):
         monkeypatch.setattr(reference, "CONJUGATED_SIGNS", (1, 1, -1, 1))
@@ -162,7 +165,7 @@ class TestStateBuild:
     def test_graph_requires_file(self, capsys):
         code, _, err = run(capsys, "state", "build", "graph")
         assert code == 2
-        assert "requires" in err
+        assert "required: graph_file" in err
 
     def test_chi00_rejects_extra_file(self, capsys, graph_file):
         code, _, err = run(capsys, "state", "build", "chi00", graph_file)
@@ -356,6 +359,40 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err.startswith("graphstab: ") and "normalized" in err
+
+
+class TestDocuments:
+    """Documents written and read back through JSON text are exactly what was written."""
+
+    @given(s=random_states())
+    def test_state_round_trip_is_exact(self, s):
+        back = state_from_dict(json.loads(json.dumps(state_to_dict(s))))
+        assert back.names == s.names
+        assert back.amps.tobytes() == s.amps.tobytes()
+
+    @given(g=graphs())
+    def test_graph_round_trip_is_exact(self, g):
+        assert graph_from_dict(json.loads(json.dumps(graph_to_dict(g)))) == g
+
+    @given(u=st.integers(1, 6).flatmap(local_cliffords), angle=st.floats(-math.pi, math.pi))
+    def test_witness_reads_back_as_the_same_complex_pairs(self, u, angle):
+        u = LocalUnitary(complex(np.exp(1j * angle)), u.factors)
+        doc = json.loads(json.dumps(local_unitary_to_dict(u)))
+        factors = np.array([[[complex(*z) for z in row] for row in f] for f in doc["factors"]])
+        assert factors.tobytes() == u.factors.tobytes()
+        assert complex(*doc["global_phase"]) == u.global_phase
+
+
+class TestEntry:
+    @pytest.mark.parametrize("argv, code", [
+        (["verify-all"], 0),
+        (["entropy", "no-such-file.json", "--cut", "a"], 2),
+    ])
+    def test_exits_with_the_code_of_main(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setattr(sys, "argv", ["graphstab", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == code
 
 
 class TestHelp:

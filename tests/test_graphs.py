@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphstab import Graph, canonical_key, local_complement
-from graphstab.graphs import _complements, graph_from_dict, graph_to_dict, graph_to_dot
+from graphstab.cli import graph_from_dict, graph_to_dict, graph_to_dot
+from graphstab.graphs import _complements
 
 from strategies import graphs
 
