@@ -2,8 +2,8 @@
 local-Clifford equivalence, and GHZ-type nonlocality arguments.
 
 Two independent engines back every claim: dense state vectors (module
-``states``) and symbolic Pauli algebra (modules ``pauli`` / ``stabilizers``);
-the verification battery in ``verify`` cross-checks them.
+``states``) and symbolic Pauli algebra (module ``pauli``); the verification
+battery in ``verify`` cross-checks them.
 """
 
 from .entanglement import Bipartition, entropy, is_product_across, reduce
@@ -14,10 +14,10 @@ from .localops import LocalUnitary, single_qubit_cliffords
 from .nonlocality import (CorrelationConstraint, constraint_from_pauli,
                           lhv_contradiction_certificate, lhv_solve_exhaustive,
                           quantum_check)
-from .pauli import PauliString, commutes, conjugate_by_local, independent, multiply
-from .stabilizers import StabilizerSet, conjugate_set, graph_generators, stabilizes
+from .pauli import (PauliString, StabilizerSet, commutes, conjugate_by_local, conjugate_set,
+                    graph_generators, independent, multiply)
 from .states import (StateVector, apply_local, apply_pauli, build_chi00,
-                     build_graph_state, equal_up_to_global_phase, expectation)
+                     build_graph_state, equal_up_to_global_phase, expectation, stabilizes)
 from .verify import VerificationReport, verify_all
 
 __version__ = "0.1.0"

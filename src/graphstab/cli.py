@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -17,7 +18,7 @@ from . import reference
 from .entanglement import Bipartition, entropy, is_product_across, reduce
 from .graphs import Graph
 from .lc import enumerate_orbit, lc_search
-from .localops import LocalUnitary
+from .localops import ATOL, LocalUnitary
 from .nonlocality import lhv_contradiction_certificate, quantum_check
 from .states import StateVector, build_chi00, build_graph_state
 from .verify import VerificationReport, verify_all
@@ -123,7 +124,7 @@ def local_unitary_to_dict(u: LocalUnitary) -> dict:
 def report_to_dict(report: VerificationReport) -> dict:
     return {
         "passed": report.passed,
-        "tolerance": report.tolerance,
+        "tolerance": ATOL,
         "checks": [
             {"name": c.name, "anchor": c.anchor, "passed": c.passed, "details": c.details}
             for c in report.checks
@@ -329,7 +330,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so the flush
+        # at interpreter exit cannot raise again, and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,16 +10,18 @@ position q; positions follow the owning graph/state's vertex order.
 
 Conjugation by a local Clifford reads the images of X and Z under the factors
 it needs off one batched dense 2x2 conjugation and multiplies them
-symbolically.
+symbolically.  Stabilizer generator sets of graph states and their
+local-Clifford conjugates are built from these operations alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import MAX_VERTICES
+from .graphs import MAX_VERTICES, Graph
 from .localops import ATOL, PAULI_MATS, LocalUnitary
 
 _LETTER_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
@@ -195,3 +197,43 @@ def conjugate_by_local(u: LocalUnitary, p: PauliString) -> PauliString:
         x_out |= image.x << q
         z_out |= image.z << q
     return PauliString(p.n, x_out, z_out, phase)
+
+
+@dataclass(frozen=True)
+class StabilizerSet:
+    """Hermitian, pairwise-commuting, GF(2)-independent generators."""
+
+    generators: tuple[PauliString, ...]
+
+    def __post_init__(self) -> None:
+        gens = tuple(self.generators)
+        object.__setattr__(self, "generators", gens)
+        if not gens:
+            raise ValueError("need at least one generator")
+        for g in gens:
+            if not g.is_hermitian:
+                raise ValueError(f"generator {g.to_text()!r} is not hermitian")
+        for a, b in combinations(gens, 2):
+            if not commutes(a, b):
+                raise ValueError(f"generators {a.to_text()!r} and {b.to_text()!r} anticommute")
+        if not independent(gens):
+            raise ValueError("generators are dependent over GF(2)")
+
+    @property
+    def n(self) -> int:
+        return self.generators[0].n
+
+
+def graph_generators(g: Graph) -> StabilizerSet:
+    """One generator per vertex: X there, Z on each neighbor, sign +1."""
+    gens = []
+    for i in range(g.n):
+        x = 1 << i
+        z = g.rows[i]
+        gens.append(PauliString(g.n, x, z, 0))
+    return StabilizerSet(tuple(gens))
+
+
+def conjugate_set(u: LocalUnitary, sset: StabilizerSet) -> StabilizerSet:
+    """Element-wise U K U+; the result is validated as a stabilizer set again."""
+    return StabilizerSet(tuple(conjugate_by_local(u, k) for k in sset.generators))

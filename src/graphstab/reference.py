@@ -9,8 +9,7 @@ from __future__ import annotations
 from .graphs import Graph
 from .localops import PAULI_MATS, HADAMARD, LocalUnitary
 from .nonlocality import CorrelationConstraint, constraint_from_pauli
-from .pauli import PauliString, multiply
-from .stabilizers import StabilizerSet, conjugate_set, graph_generators
+from .pauli import PauliString, StabilizerSet, conjugate_set, graph_generators, multiply
 
 QUBITS = ("A3", "A4", "B1", "B2")
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .graphs import Graph
 from .localops import ATOL, MAX_QUBITS, LocalUnitary
-from .pauli import PauliString
+from .pauli import PauliString, StabilizerSet
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +167,6 @@ def _check_same_qubits(s: StateVector, t: StateVector) -> None:
         raise ValueError(f"qubit orders differ: {s.names} and {t.names}")
 
 
-def overlap(s: StateVector, t: StateVector) -> complex:
-    _check_same_qubits(s, t)
-    return complex(np.vdot(s.amps, t.amps))
-
-
 def expectation(p: PauliString, s: StateVector) -> float:
     """<s| p |s>, demanded real within tolerance; requires hermitian p."""
     if not p.is_hermitian:
@@ -182,11 +177,6 @@ def expectation(p: PauliString, s: StateVector) -> float:
     return float(val.real)
 
 
-def allclose(s: StateVector, t: StateVector) -> bool:
-    """Component-wise equality within ATOL, global phase included."""
-    return max_residual(s, t) <= ATOL
-
-
 def max_residual(s: StateVector, t: StateVector) -> float:
     _check_same_qubits(s, t)
     return float(np.max(np.abs(s.amps - t.amps)))
@@ -194,4 +184,13 @@ def max_residual(s: StateVector, t: StateVector) -> float:
 
 def equal_up_to_global_phase(s: StateVector, t: StateVector) -> bool:
     """True iff |<s|t>| = 1 within ATOL (both states are unit norm)."""
-    return abs(abs(overlap(s, t)) - 1.0) <= ATOL
+    _check_same_qubits(s, t)
+    inner = complex(np.vdot(s.amps, t.amps))
+    return abs(abs(inner) - 1.0) <= ATOL
+
+
+def stabilizes(sset: StabilizerSet, s: StateVector) -> bool:
+    """True iff every generator fixes the state component-wise, within ATOL."""
+    if sset.n != s.n:
+        raise ValueError("qubit counts differ")
+    return all(max_residual(apply_pauli(k, s), s) <= ATOL for k in sset.generators)

@@ -17,9 +17,8 @@ from .lc import lc_search, tau_unitary
 from .localops import ATOL
 from .nonlocality import (certificate_pauli_product, lhv_contradiction_certificate,
                           lhv_solve_exhaustive, quantum_check)
-from .pauli import PauliString, commutes, independent, multiply
-from .stabilizers import graph_generators, stabilizes
-from .states import apply_local, build_chi00, build_graph_state, max_residual
+from .pauli import PauliString, commutes, graph_generators, independent, multiply
+from .states import apply_local, build_chi00, build_graph_state, max_residual, stabilizes
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    tolerance: float
     checks: tuple[CheckResult, ...]
 
     @property
@@ -171,4 +169,4 @@ def verify_all() -> VerificationReport:
     checks.append(CheckResult(
         "entanglement-pattern", "entanglement (2,2,1)", ent_ok, ent_details))
 
-    return VerificationReport(ATOL, tuple(checks))
+    return VerificationReport(tuple(checks))

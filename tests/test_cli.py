@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +99,12 @@ class TestOutputPins:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "6237ace7e8593145bc47a770ddc4b40f1c16d511a225cc014f768628e31b9df3")
 
+    def test_verify_all_table(self, capsys):
+        code, out, _ = run(capsys, "verify-all")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "34c347936fe561ec3e3639fee591020a3681e60f0531fdec4162b3bae3d22ccc")
+
     def test_orbit_of_paper_cycle(self, capsys, graph_file):
         code, out, _ = run(capsys, "orbit", graph_file)
         assert code == 0
@@ -121,6 +130,20 @@ class TestOutputPins:
         assert "-0.0" not in out  # every imaginary part is +0.0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "d389c471517f3a17be4733d08912601f0bd959b553ce4a7b0d8c12f2e456dd07")
+
+    def test_chi00_state(self, capsys):
+        code, out, _ = run(capsys, "state", "build", "chi00")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b8560ab5d2c700626135b3c26b759d7fa7cec5569fefac9d5893c32455709c10")
+
+    def test_lc_search_from_graph_b_to_chi(self, capsys, tmp_path, state_b, chi_file):
+        state = tmp_path / "gb.json"
+        state.write_text(json.dumps(state_to_dict(state_b)))
+        code, out, _ = run(capsys, "lc-search", str(state), chi_file)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bb781d7c36f0260b81b5cbe4f014020df5547e87c466ba9f7a6e5f867a6411cd")
 
     def test_entropy_of_chi_on_diagonal_cut(self, capsys, chi_file):
         code, out, _ = run(capsys, "entropy", chi_file, "--cut", "A3,B2")
@@ -393,6 +416,22 @@ class TestEntry:
         with pytest.raises(SystemExit) as exc:
             cli.entry()
         assert exc.value.code == code
+
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        # the read end is closed before the child starts, so its first write
+        # to stdout fails with EPIPE on every run
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "graphstab.cli", "verify-all", "--json"],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == ""
 
 
 class TestHelp:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import runpy
@@ -10,7 +11,9 @@ import pytest
 from graphstab import lc
 from graphstab.localops import pauli_rotation
 
-ORBIT_CENSUS = str(Path(__file__).resolve().parent.parent / "scripts" / "orbit_census.py")
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ORBIT_CENSUS = str(SCRIPTS / "orbit_census.py")
+RESIDUAL_SURVEY = str(SCRIPTS / "residual_survey.py")
 
 
 def run_script(monkeypatch, capsys, path, *argv):
@@ -74,3 +77,14 @@ class TestOrbitCensus:
         assert err.startswith("orbit_census.py: ")
         assert message in err
         assert err.count("\n") == 1
+
+
+class TestResidualSurvey:
+    def test_output_pin(self, monkeypatch, capsys):
+        # the stabilization rows run apply_pauli and max_residual on each
+        # conjugated generator, the arithmetic of stabilizes
+        code, out, err = run_script(monkeypatch, capsys, RESIDUAL_SURVEY)
+        assert code == 0
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2960d9cedd14c6b6f8e334c601efa8e37a7c7327e623f2140297dec745624262")

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import graphstab
 from graphstab import (Graph, LocalUnitary, PauliString, StabilizerSet, apply_local,
                        build_graph_state, commutes, conjugate_set, graph_generators,
                        independent, stabilizes)
@@ -113,3 +116,28 @@ class TestValidation:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="hermitian"):
             StabilizerSet((PauliString(1, 1, 0, 1),))
+
+
+def _imports_states(tree: ast.Module) -> bool:
+    """True iff the module imports the dense engine, in any import form."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name == "graphstab.states" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".states", "graphstab.states"):
+                return True
+            if module in (".", "graphstab") and any(a.name == "states" for a in node.names):
+                return True
+    return False
+
+
+class TestLayering:
+    def test_symbolic_engine_does_not_import_dense_engine(self):
+        modules = {inspect.getmodule(obj) for obj in (graphstab.StabilizerSet,
+                                                      graphstab.graph_generators,
+                                                      graphstab.conjugate_set)}
+        offenders = [m.__name__ for m in modules
+                     if _imports_states(ast.parse(inspect.getsource(m)))]
+        assert offenders == []

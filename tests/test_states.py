@@ -12,9 +12,8 @@ from graphstab import (Graph, LocalUnitary, PauliString, apply_local, apply_paul
                        equal_up_to_global_phase, expectation)
 from graphstab import reference
 from graphstab.cli import state_from_dict, state_to_dict
-from graphstab.localops import PAULI_MATS
-from graphstab.states import (StateVector, _apply_factor, _bit_table, _pauli_spectrum, allclose,
-                              max_residual, overlap)
+from graphstab.localops import ATOL, PAULI_MATS
+from graphstab.states import StateVector, _apply_factor, _bit_table, _pauli_spectrum, max_residual
 
 from strategies import graphs, local_cliffords, paulis, random_states
 
@@ -135,7 +134,7 @@ class TestBuildGraphState:
 
 class TestApplyLocal:
     def test_identity(self, chi):
-        assert allclose(apply_local(LocalUnitary.identity(4), chi), chi)
+        assert max_residual(apply_local(LocalUnitary.identity(4), chi), chi) <= ATOL
 
     def test_chi00_from_graph_state_exact(self, u_chi, state_b, chi):
         assert max_residual(apply_local(u_chi, state_b), chi) < 1e-12
@@ -165,15 +164,16 @@ class TestApplyLocal:
 
 class TestApplyPauli:
     def test_identity(self, chi):
-        assert allclose(apply_pauli(PauliString.identity(4), chi), chi)
+        assert max_residual(apply_pauli(PauliString.identity(4), chi), chi) <= ATOL
 
     def test_all_z_fixes_chi(self, chi):
         zzzz = PauliString.from_letters("ZZZZ")
-        assert allclose(apply_pauli(zzzz, chi), chi)
+        assert max_residual(apply_pauli(zzzz, chi), chi) <= ATOL
 
     def test_x_flips_basis_state(self):
         s = basis_state(("q0",), 0)
-        assert allclose(apply_pauli(PauliString.from_letters("X"), s), basis_state(("q0",), 1))
+        flipped = apply_pauli(PauliString.from_letters("X"), s)
+        assert max_residual(flipped, basis_state(("q0",), 1)) <= ATOL
 
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(paulis(n=n), random_states(n=n))))
     def test_agrees_with_dense_matrix(self, case):
@@ -215,11 +215,11 @@ class TestPhaseComparison:
     def test_global_phase_ignored(self, chi):
         rotated = StateVector(chi.names, np.exp(0.7j) * chi.amps)
         assert equal_up_to_global_phase(chi, rotated)
-        assert not allclose(chi, rotated)
+        assert not max_residual(chi, rotated) <= ATOL
 
     def test_chi_and_graph_state_are_orthogonal(self, chi, state_b):
         # frozen from the dense oracle: the overlap is exactly zero
-        assert abs(overlap(chi, state_b)) < 1e-12
+        assert abs(complex(np.vdot(chi.amps, state_b.amps))) < 1e-12
         assert not equal_up_to_global_phase(chi, state_b)
 
     def test_orthogonal_basis_states(self):
@@ -232,14 +232,14 @@ class TestComparedLabels:
 
     BELL = np.array([1, 0, 0, 1]) / math.sqrt(2)
 
-    @pytest.mark.parametrize("compare", [overlap, allclose, max_residual, equal_up_to_global_phase])
+    @pytest.mark.parametrize("compare", [max_residual, equal_up_to_global_phase])
     @pytest.mark.parametrize("order", [("x", "y"), ("b", "a")])
     def test_label_orders_must_agree(self, compare, order):
         s, t = StateVector(("a", "b"), self.BELL), StateVector(order, self.BELL)
         with pytest.raises(ValueError, match=re.escape(f"qubit orders differ: ('a', 'b') and {order}")):
             compare(s, t)
 
-    @pytest.mark.parametrize("compare", [overlap, allclose, max_residual, equal_up_to_global_phase])
+    @pytest.mark.parametrize("compare", [max_residual, equal_up_to_global_phase])
     def test_qubit_counts_must_agree(self, compare):
         s, t = StateVector(("a", "b"), self.BELL), basis_state(("a",), 0)
         with pytest.raises(ValueError, match="qubit counts differ"):
