@@ -29,8 +29,10 @@ product per tail qubit over axis orders fixed once per search: the products
 np.tensordot would form, so the overlaps are the same to the bit.  It then
 takes their magnitudes once and is left at once when the largest is below
 1 - ATOL, since no candidate can then be within ATOL of 1; only the other
-leaves are compared entry by entry for the first hit.  Witnesses are
-:class:`LocalUnitary` objects.
+leaves are compared entry by entry, and their first hit is read by one
+first-true lookup on the hit mask.  Witnesses are :class:`LocalUnitary`
+objects; the search's are built from read-only copies of the stack's factors
+without re-checking them, as the orbit's are.
 """
 from __future__ import annotations
 
@@ -234,7 +236,11 @@ def lc_search(source: StateVector, target: StateVector) -> EquivalenceWitness:
     one matrix product of the (24, 4) Clifford stack with the block's axes
     moved into a fixed order, so there is no precomputed table and a leaf's
     working memory is a few hundred KB.  A leaf whose largest overlap
-    magnitude is below 1 - ATOL cannot hold a hit and is left at once.
+    magnitude is below 1 - ATOL cannot hold a hit and is left at once; in
+    any other leaf the first hit in C order is found by one argmax over the
+    boolean hit mask.  The witness takes the hit's Cliffords as a read-only
+    copy of the stack's rows and the phase conj(ov) / |ov| as a Python
+    complex, with no re-check of either.
     """
     _check_same_qubits(source, target)
     n = source.n
@@ -265,9 +271,10 @@ def lc_search(source: StateVector, target: StateVector) -> EquivalenceWitness:
             mags = np.abs(overlaps)
             if mags.max() < floor:  # no |ov| within ATOL of 1
                 return None
-            hits = np.argwhere(np.abs(mags - 1.0) <= ATOL)
-            if len(hits):
-                first = tuple(int(c) for c in hits[0])
+            hits = np.abs(mags - 1.0) <= ATOL
+            k = hits.argmax()  # the first hit in C order, or 0 when there is none
+            if hits.flat[k]:
+                first = tuple(int(c) for c in np.unravel_index(k, hits.shape))
                 return prefix + first, overlaps[first]
             return None
         for c in range(24):
@@ -280,6 +287,7 @@ def lc_search(source: StateVector, target: StateVector) -> EquivalenceWitness:
     if hit is None:
         return EquivalenceWitness(False, None)
     assignment, ov = hit
-    phase = ov.conjugate() / abs(ov)
-    witness = LocalUnitary(phase, cliffs[list(assignment)])
-    return EquivalenceWitness(True, witness)
+    factors = cliffs[list(assignment)]  # a copy of unitary Cliffords, so nothing to re-check
+    factors.setflags(write=False)
+    # |ov| is within ATOL of 1, so the phase is unit to round-off, far inside _UNITARY_TOL
+    return EquivalenceWitness(True, LocalUnitary._trusted(complex(ov.conjugate() / abs(ov)), factors))

@@ -145,6 +145,15 @@ class TestOutputPins:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "bb781d7c36f0260b81b5cbe4f014020df5547e87c466ba9f7a6e5f867a6411cd")
 
+    def test_lc_search_from_cycle_to_chi(self, capsys, tmp_path, state_a, chi_file):
+        # the witness is Cliffords (2, 0, 6, 22), a hit past the first two leaves
+        state = tmp_path / "ga.json"
+        state.write_text(json.dumps(state_to_dict(state_a)))
+        code, out, _ = run(capsys, "lc-search", str(state), chi_file)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "413d354b780fd11252aedd150ad4e2f5da6e93d22b3ec595210de554a46c5ad5")
+
     def test_entropy_of_chi_on_diagonal_cut(self, capsys, chi_file):
         code, out, _ = run(capsys, "entropy", chi_file, "--cut", "A3,B2")
         assert code == 0

@@ -559,6 +559,15 @@ class TestLcSearchBitIdentical:
             assert clifford_indices(got.unitary) == want[0]
             assert got.unitary.global_phase == want[1]
 
+    @pytest.mark.parametrize("n, kind, seed", [c for c in SEEDED_CASES if c[1].endswith("hit")])
+    def test_witness_is_what_the_validating_constructor_builds(self, n, kind, seed):
+        w = lc_search(*seeded_pair(n, kind, seed)).unitary
+        assert not w.factors.flags.writeable
+        assert type(w.global_phase) is complex
+        checked = LocalUnitary(w.global_phase, w.factors)
+        assert checked.global_phase == w.global_phase
+        assert checked.factors.tobytes() == w.factors.tobytes()
+
 
 class TestEarlyReject:
     """Targets at a chosen distance 1 - cos(theta) from a local-Clifford image."""
@@ -581,6 +590,18 @@ class TestEarlyReject:
             if found:
                 assert clifford_indices(got.unitary) == clifford_indices(exact.unitary)
                 assert abs(got.unitary.global_phase - exact.unitary.global_phase) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_leaf_above_the_threshold_without_a_hit_yields_none(self, seed):
+        # At norm 1 + 0.9 ATOL on both sides an exact image overlaps by about
+        # 1 + 1.8 ATOL: its leaf is not skipped, yet no entry is within ATOL of 1
+        n = 2 + seed
+        source, image = seeded_pair(n, "hit", seed)
+        scale = 1.0 + 0.9 * ATOL
+        source = StateVector(source.names, scale * source.amps)
+        target = StateVector(image.names, scale * image.amps)
+        assert lc_search_tensordot(source, target) is None
+        assert lc_search(source, target) == EquivalenceWitness(False, None)
 
 
 class TestSpectrumReject:
