@@ -26,11 +26,10 @@ leading qubits by recursion and covers the last three in leaves of 24^3
 candidates (a few hundred KB of working memory per leaf).  A leaf contracts
 its overlap block with the stack, reshaped to (24, 4), by one matrix
 product per tail qubit over axis orders fixed once per search: the products
-np.tensordot would form, so the overlaps are the same to the bit.  It then
-takes their magnitudes once and is left at once when the largest is below
-1 - ATOL, since no candidate can then be within ATOL of 1; only the other
-leaves are compared entry by entry, and their first hit is read by one
-first-true lookup on the hit mask.  Witnesses are :class:`LocalUnitary`
+np.tensordot would form, so the overlaps are the same to the bit.  A hit
+is an overlap of magnitude at least ||s|| ||t|| - ATOL (the match rule of
+:mod:`graphstab.states`); a leaf below that floor is left at once, and any
+other leaf's first hit is one argmax.  Witnesses are :class:`LocalUnitary`
 objects; the search's are built from read-only copies of the stack's factors
 without re-checking them, as the orbit's are.
 """
@@ -45,7 +44,8 @@ import numpy as np
 
 from .graphs import Graph, _complements
 from .localops import ATOL, MAX_QUBITS, LocalUnitary, pauli_rotation, single_qubit_cliffords
-from .states import StateVector, _apply_factor, _check_same_qubits, _graph_state_amps, _pauli_spectrum
+from .states import (StateVector, _apply_factor, _check_same_qubits, _graph_state_amps, _match_floor,
+                     _pauli_spectrum)
 
 MAX_SEARCH_QUBITS = 6
 _BATCH_TAIL = 3  # qubits handled by one fully vectorized block
@@ -55,14 +55,13 @@ _TAU_STACK.setflags(write=False)  # indexed by neighbor bit, 2 on the vertex its
 _TAU_PHASE = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
 _LEVEL_BLOCK = 1 << 10  # members per batched witness product; bounds its temporaries
 _DENSE_CHUNK = 1 << 12  # amplitudes per batch of the orbit's dense check
-# How far a hit lets one Pauli expectation move.  A hit has |<t|U s>| >= 1 - ATOL,
-# and StateVector admits norms within ATOL of 1, so with the phase chosen to make
-# the overlap real, ||t - e^{i phi} U s||^2 <= 2 (1 + ATOL)^2 - 2 (1 - ATOL)
-# = 6 ATOL + 2 ATOL^2.  Then |<t|P|t> - <v|P|v>| <= (||t|| + ||v||) ||t - v||
-# for v = e^{i phi} U s, whose expectations are those of s up to order and sign;
-# magnitudes and sorting move no entry further.  The ATOL on top is a round-off
-# margin, far above the ~1e-14 error of a sum over the 2^6 amplitudes.
-_SPECTRUM_SLACK = 2 * (1 + ATOL) * math.sqrt(6 * ATOL + 2 * ATOL**2) + ATOL
+# How far a hit lets one Pauli expectation move.  With the phase chosen to make a hit's
+# overlap real, ||t - v||^2 <= (||t|| - ||s||)^2 + 2 ATOL <= 2 ATOL + 4 ATOL^2 for
+# v = e^{i phi} U s, as StateVector admits norms within ATOL of 1.  Then
+# |<t|P|t> - <v|P|v>| <= (||t|| + ||v||) ||t - v||, and v's expectations are those of s up
+# to order and sign; magnitudes and sorting move no entry further.  The ATOL on top is a
+# round-off margin, far above the ~1e-14 error of a sum over the 2^6 amplitudes.
+_SPECTRUM_SLACK = 2 * (1 + ATOL) * math.sqrt(2 * ATOL + 4 * ATOL**2) + ATOL
 
 
 def _tau_factors(nbs: np.ndarray, vertices: np.ndarray, n: int) -> np.ndarray:
@@ -218,10 +217,10 @@ class EquivalenceWitness:
 def lc_search(source: StateVector, target: StateVector) -> EquivalenceWitness:
     """Exact search for a per-qubit Clifford assignment mapping source to target.
 
-    Returns the first match in canonical (lexicographic) enumeration order,
-    with the witness global phase fixed so the map is exact, or found=False.
-    Both states must list the same labels in the same order, since amplitudes
-    are compared by position.
+    Returns the first hit in canonical (lexicographic) order, a U with
+    |<t|U s>| >= ||s|| ||t|| - ATOL as in ``equal_up_to_global_phase``, its
+    global phase fixed so the map is exact, or found=False.  Both states must
+    list the same labels in the same order: amplitudes are compared by position.
 
     A pair whose Pauli spectra (the sorted |<psi|P|psi>| over all 4^n Paulis)
     differ anywhere by more than a hit allows is answered found=False without
@@ -236,9 +235,9 @@ def lc_search(source: StateVector, target: StateVector) -> EquivalenceWitness:
     one matrix product of the (24, 4) Clifford stack with the block's axes
     moved into a fixed order, so there is no precomputed table and a leaf's
     working memory is a few hundred KB.  A leaf whose largest overlap
-    magnitude is below 1 - ATOL cannot hold a hit and is left at once; in
-    any other leaf the first hit in C order is found by one argmax over the
-    boolean hit mask.  The witness takes the hit's Cliffords as a read-only
+    magnitude is below that floor cannot hold a hit and is left at once; in
+    any other leaf the first hit in C order is one argmax of the magnitudes
+    against the floor.  The witness takes the hit's Cliffords as a read-only
     copy of the stack's rows and the phase conj(ov) / |ov| as a Python
     complex, with no re-check of either.
     """
@@ -261,7 +260,7 @@ def lc_search(source: StateVector, target: StateVector) -> EquivalenceWitness:
         order = [t - 1, len(shape) - 1] + [k for k in range(len(shape) - 1) if k != t - 1]
         shape = [24] + [shape[k] for k in order[2:]]
         steps.append((order, shape))
-    floor = 1.0 - ATOL
+    floor = _match_floor(source, target)
 
     def scan(pos: int, amps: np.ndarray, prefix: tuple[int, ...]):
         if pos == n - t:
@@ -269,14 +268,10 @@ def lc_search(source: StateVector, target: StateVector) -> EquivalenceWitness:
             for order, shape in steps:
                 overlaps = np.dot(stack, overlaps.transpose(order).reshape(4, -1)).reshape(shape)
             mags = np.abs(overlaps)
-            if mags.max() < floor:  # no |ov| within ATOL of 1
+            if mags.max() < floor:  # no hit in this leaf
                 return None
-            hits = np.abs(mags - 1.0) <= ATOL
-            k = hits.argmax()  # the first hit in C order, or 0 when there is none
-            if hits.flat[k]:
-                first = tuple(int(c) for c in np.unravel_index(k, hits.shape))
-                return prefix + first, overlaps[first]
-            return None
+            first = tuple(int(c) for c in np.unravel_index((mags >= floor).argmax(), mags.shape))
+            return prefix + first, overlaps[first]
         for c in range(24):
             found = scan(pos + 1, _apply_factor(amps, cliffs[c], pos, n), prefix + (c,))
             if found is not None:
@@ -289,5 +284,5 @@ def lc_search(source: StateVector, target: StateVector) -> EquivalenceWitness:
     assignment, ov = hit
     factors = cliffs[list(assignment)]  # a copy of unitary Cliffords, so nothing to re-check
     factors.setflags(write=False)
-    # |ov| is within ATOL of 1, so the phase is unit to round-off, far inside _UNITARY_TOL
+    # |ov| is at least ||s|| ||t|| - ATOL, so the phase is unit to round-off, far inside _UNITARY_TOL
     return EquivalenceWitness(True, LocalUnitary._trusted(complex(ov.conjugate() / abs(ov)), factors))

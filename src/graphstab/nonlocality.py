@@ -87,13 +87,14 @@ class CorrelationReport:
 
 def quantum_check(s: StateVector, constraints: Sequence[CorrelationConstraint],
                   origins: Sequence[PauliString]) -> CorrelationReport:
-    """Dense-engine expectation of each origin observable; satisfied iff +1 within ATOL."""
+    """Dense-engine expectation of each origin observable; satisfied iff ||s||^2 within ATOL."""
     if len(constraints) != len(origins):
         raise ValueError("constraints and origins must pair up")
+    norm2 = float((s.amps.conj() @ s.amps).real)  # +1 read at the state's norm
     entries = []
     for c, p in zip(constraints, origins):
         val = expectation(p, s)
-        entries.append(CorrelationCheck(c, p, val, abs(val - 1.0) <= ATOL))
+        entries.append(CorrelationCheck(c, p, val, abs(val - norm2) <= ATOL))
     return CorrelationReport(tuple(entries))
 
 

@@ -2,10 +2,10 @@
 
 Index convention: the qubit at position 0 is the most significant bit, so for
 labels (A3, A4, B1, B2) the amplitude of |a3 a4 b1 b2> sits at index
-8*a3 + 4*a4 + 2*b1 + b2.  All comparisons use absolute tolerance 1e-9;
-"exact" equality means component-wise agreement including global phase.
-Amplitudes are compared by position, so comparing two states whose labels
-differ in number or order raises ValueError.
+8*a3 + 4*a4 + 2*b1 + b2.  Tolerances are absolute, ATOL = 1e-9, and a norm may
+be ATOL off 1: "exact" equality is component-wise, and s, t match up to phase
+iff |<s|t>| >= ||s|| ||t|| - ATOL (Cauchy-Schwarz caps it), as in lc_search.
+States are compared by position; differing labels or orders raise ValueError.
 
 Graph states are built by one batched kernel, also used by the orbit check in
 :mod:`graphstab.lc`: amplitude x of |G> is 2^{-n/2} (-1)^{q(x)}, where q(x)
@@ -182,11 +182,15 @@ def max_residual(s: StateVector, t: StateVector) -> float:
     return float(np.max(np.abs(s.amps - t.amps)))
 
 
+def _match_floor(s: StateVector, t: StateVector) -> float:
+    """||s|| ||t|| - ATOL: the least |<t|U s>| that is a match, for U unitary."""
+    return float(np.linalg.norm(s.amps) * np.linalg.norm(t.amps)) - ATOL
+
+
 def equal_up_to_global_phase(s: StateVector, t: StateVector) -> bool:
-    """True iff |<s|t>| = 1 within ATOL (both states are unit norm)."""
+    """True iff |<s|t>| >= ||s|| ||t|| - ATOL, the match rule of this module."""
     _check_same_qubits(s, t)
-    inner = complex(np.vdot(s.amps, t.amps))
-    return abs(abs(inner) - 1.0) <= ATOL
+    return abs(complex(np.vdot(s.amps, t.amps))) >= _match_floor(s, t)
 
 
 def stabilizes(sset: StabilizerSet, s: StateVector) -> bool:

@@ -164,7 +164,7 @@ def verify_all() -> VerificationReport:
         rhos = [reduce(state, cut) for state in (chi, state_a, state_b)]
         values = [entropy(rho) for rho in rhos]
         ent_details["entropies"][",".join(side)] = values
-        ent_ok = ent_ok and all(abs(v - want_bits) <= 1e-6 for v in values)
+        ent_ok = ent_ok and all(abs(v - want_bits) <= ATOL for v in values)
         ent_ok = ent_ok and not is_product_across(rhos[0])
     checks.append(CheckResult(
         "entanglement-pattern", "entanglement (2,2,1)", ent_ok, ent_details))

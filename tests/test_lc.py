@@ -15,7 +15,8 @@ from graphstab import (EquivalenceWitness, Graph, LocalUnitary, PauliString, app
                        enumerate_orbit, equal_up_to_global_phase, expectation, lc_search,
                        local_complement, single_qubit_cliffords, tau_unitary)
 from graphstab import lc
-from graphstab.lc import OrbitMember, OrbitReport, _DENSE_CHUNK, _dense_overlaps, _verify_orbit
+from graphstab.lc import (OrbitMember, OrbitReport, _DENSE_CHUNK, _SPECTRUM_SLACK, _dense_overlaps,
+                          _verify_orbit)
 from graphstab.localops import ATOL, PAULI_MATS, pauli_rotation
 from graphstab.states import StateVector, _graph_state_amps, _pauli_spectrum, max_residual
 
@@ -591,41 +592,47 @@ class TestEarlyReject:
                 assert clifford_indices(got.unitary) == clifford_indices(exact.unitary)
                 assert abs(got.unitary.global_phase - exact.unitary.global_phase) <= 1e-12
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_leaf_above_the_threshold_without_a_hit_yields_none(self, seed):
-        # At norm 1 + 0.9 ATOL on both sides an exact image overlaps by about
-        # 1 + 1.8 ATOL: its leaf is not skipped, yet no entry is within ATOL of 1
-        n = 2 + seed
-        source, image = seeded_pair(n, "hit", seed)
-        scale = 1.0 + 0.9 * ATOL
-        source = StateVector(source.names, scale * source.amps)
-        target = StateVector(image.names, scale * image.amps)
-        assert lc_search_tensordot(source, target) is None
-        assert lc_search(source, target) == EquivalenceWitness(False, None)
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("ks", [(0.9, 0.9), (-0.9, -0.9), (-0.9, 0.9)])
+    def test_exact_image_at_the_norm_edge_is_found(self, n, ks):
+        # Source at norm 1 + ks[0] ATOL, target at 1 + ks[1] ATOL: an exact image
+        # overlaps by ||s|| ||t||, from about 1 - 1.8 ATOL to 1 + 1.8 ATOL, and is a hit
+        source, image = seeded_pair(n, "hit", n)
+        exact = lc_search(source, image)
+        source = StateVector(source.names, (1.0 + ks[0] * ATOL) * source.amps)
+        target = StateVector(image.names, (1.0 + ks[1] * ATOL) * image.amps)
+        got = lc_search(source, target)
+        assert got.found
+        assert clifford_indices(got.unitary) == clifford_indices(exact.unitary)
+        assert abs(got.unitary.global_phase - exact.unitary.global_phase) <= 1e-12
+        assert equal_up_to_global_phase(source, source)
+        assert equal_up_to_global_phase(target, target)
 
 
 class TestSpectrumReject:
     @pytest.mark.parametrize("seed", range(8))
     def test_tolerance_edge_hit_keeps_the_scan_witness(self, seed):
-        # Source and target at norm 1 + 0.9 ATOL with |overlap| 1 - 0.9 ATOL: the
-        # target tilts the image u by theta toward Q u, for a one-qubit Pauli Q
-        # with <u|Q|u> = 0, which moves |<Q>| from 0 to about 1.47e-4, past the
-        # slack 2 sqrt(2 ATOL) that leaves out the norm tolerance.
+        # Source and target at norm 1 + 0.9 ATOL with |overlap| ||s|| ||t|| - 0.9 ATOL:
+        # the target tilts the image u by theta toward Q u, for a one-qubit Pauli Q
+        # with <u|Q|u> = 0, which moves |<Q>| from 0 to about 2 sqrt(1.8 ATOL),
+        # sqrt(0.9) of the slack, so a slack a tenth narrower would drop the hit.
         n = 2 + seed % 4
         graph, image = seeded_pair(n, "hit", seed)
         scale = 1.0 + 0.9 * ATOL
         q = next(p for p in (PauliString.from_letters(c + "I" * (n - 1)) for c in "XYZ")
                  if abs(expectation(p, image)) < 1e-12)
-        theta = math.acos((1.0 - 0.9 * ATOL) / scale**2)
+        theta = math.acos(1.0 - 0.9 * ATOL / scale**2)
+        tilted = StateVector(graph.names, math.cos(theta) * image.amps
+                             + math.sin(theta) * apply_pauli(q, image).amps)
         source = StateVector(graph.names, scale * graph.amps)
-        target = StateVector(graph.names, scale * (math.cos(theta) * image.amps
-                                                   + math.sin(theta) * apply_pauli(q, image).amps))
-        assert np.max(np.abs(_pauli_spectrum(source) - _pauli_spectrum(target))) > 2 * math.sqrt(2 * ATOL)
-        want = lc_search_tensordot(source, target)
+        target = StateVector(graph.names, scale * tilted.amps)
+        moved = np.max(np.abs(_pauli_spectrum(source) - _pauli_spectrum(target)))
+        assert 0.9 * _SPECTRUM_SLACK < moved <= _SPECTRUM_SLACK
+        want = lc_search_tensordot(graph, tilted)
         got = lc_search(source, target)
         assert want is not None and got.found
         assert clifford_indices(got.unitary) == want[0]
-        assert got.unitary.global_phase == want[1]
+        assert abs(got.unitary.global_phase - want[1]) <= 1e-12
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_differing_spectra_skip_the_scan(self, monkeypatch, n):

@@ -12,7 +12,7 @@ from graphstab import (CorrelationConstraint, Graph, PauliString, build_graph_st
                        lhv_contradiction_certificate, lhv_solve_exhaustive, multiply,
                        quantum_check)
 from graphstab import reference
-from graphstab.localops import HADAMARD, PAULI_MATS, LocalUnitary
+from graphstab.localops import ATOL, HADAMARD, PAULI_MATS, LocalUnitary
 from graphstab.nonlocality import certificate_pauli_product
 from graphstab.states import StateVector
 
@@ -109,6 +109,12 @@ class TestQuantumCheck:
         assert report.all_satisfied
         for entry in report.entries:
             assert entry.expectation == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [0.9, -0.9])
+    def test_norm_edge_chi_satisfies_all_four(self, chi, settings, k):
+        # <P> of an eigenstate is ||s||^2, about 1 + 1.8 k ATOL here, not 1
+        scaled = StateVector(chi.names, (1.0 + k * ATOL) * chi.amps)
+        assert quantum_check(scaled, *settings).all_satisfied
 
     def test_all_zeros_satisfies_all_z_parity(self, settings):
         constraints, origins = settings
