@@ -10,12 +10,12 @@ import argparse
 from collections import Counter
 
 from graphstab import enumerate_orbit
-from graphstab import reference
+from graphstab import verify
 from graphstab.cli import graph_from_dict, load, positive_int
 
 
 def census(graph_file: str | None, max_members: int | None) -> None:
-    seed = load(graph_file, graph_from_dict) if graph_file else reference.graph_a()
+    seed = load(graph_file, graph_from_dict) if graph_file else verify.graph_a()
     report = enumerate_orbit(seed, max_members=max_members, verify=True)
     print(f"seed edges: {list(seed.edges())}")
     print(f"orbit size: {len(report.members)}  truncated: {report.truncated}")

@@ -2,8 +2,9 @@
 local-Clifford equivalence, and GHZ-type nonlocality arguments.
 
 Two independent engines back every claim: dense state vectors (module
-``states``) and symbolic Pauli algebra (module ``pauli``); the verification
-battery in ``verify`` cross-checks them.
+``states``) and symbolic Pauli algebra (module ``pauli``).  The paper's
+scenario, chi00 on (A3, A4, B1, B2), lives in ``verify`` beside the
+verification battery that cross-checks the two engines on it.
 """
 
 from .entanglement import Bipartition, entropy, is_product_across, reduce
@@ -16,9 +17,9 @@ from .nonlocality import (CorrelationConstraint, constraint_from_pauli,
                           quantum_check)
 from .pauli import (PauliString, StabilizerSet, commutes, conjugate_by_local, conjugate_set,
                     graph_generators, independent, multiply)
-from .states import (StateVector, apply_local, apply_pauli, build_chi00,
-                     build_graph_state, equal_up_to_global_phase, expectation, stabilizes)
-from .verify import VerificationReport, verify_all
+from .states import (StateVector, apply_local, apply_pauli, build_graph_state,
+                     equal_up_to_global_phase, expectation, stabilizes)
+from .verify import VerificationReport, build_chi00, verify_all
 
 __version__ = "0.1.0"
 

@@ -14,14 +14,14 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from . import reference
 from .entanglement import Bipartition, entropy, is_product_across, reduce
 from .graphs import Graph
 from .lc import enumerate_orbit, lc_search
 from .localops import ATOL, LocalUnitary
 from .nonlocality import lhv_contradiction_certificate, quantum_check
-from .states import StateVector, build_chi00, build_graph_state
-from .verify import VerificationReport, verify_all
+from .states import StateVector, build_graph_state
+from .verify import (VerificationReport, build_chi00, ghz_constraints, ghz_origins,
+                     verify_all)
 
 T = TypeVar("T")
 
@@ -219,8 +219,8 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 def _cmd_ghz_check(args: argparse.Namespace) -> int:
     chi = build_chi00()
-    origins = reference.ghz_origins()
-    constraints = reference.ghz_constraints()
+    origins = ghz_origins()
+    constraints = ghz_constraints()
     report = quantum_check(chi, constraints, origins)
     # the certificate exists iff the constraints are unsatisfiable
     contradiction, subset = lhv_contradiction_certificate(constraints)

@@ -104,7 +104,7 @@ def canonical_phase(mat: np.ndarray) -> np.ndarray:
     """Rescale so the first non-negligible entry (row-major) is real positive."""
     flat = mat.reshape(-1)
     for v in flat:
-        if abs(v) > 1e-6:
+        if abs(v) > ATOL:
             return mat * (abs(v) / v)
     raise ValueError("zero matrix has no canonical phase")
 

@@ -12,13 +12,12 @@ of its deterministic components does.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import xor
 from typing import Sequence
 
-from .pauli import PauliString, _dependencies, multiply
+from .pauli import PauliString, _dependencies
 from .states import ATOL, StateVector, expectation
 
 AXES = ("x", "z")
@@ -159,11 +158,3 @@ def lhv_contradiction_certificate(
         combos = accumulate(flips, xor)
     _, best = min((combo.bit_count(), combo) for combo in combos if (combo & neg).bit_count() & 1)
     return True, tuple(i for i in range(len(constraints)) if best >> i & 1)
-
-
-def certificate_pauli_product(constraints: Sequence[CorrelationConstraint],
-                              origins: Sequence[PauliString],
-                              subset: Sequence[int]) -> tuple[PauliString, int]:
-    """Product of the subset's origin Paulis and the subset's sign product."""
-    product = multiply(*(origins[i] for i in subset))
-    return product, math.prod(constraints[i].sign for i in subset)

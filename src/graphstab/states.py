@@ -1,8 +1,8 @@
 """Exact dense state vectors: the ground-truth engine for every symbolic claim.
 
 Index convention: the qubit at position 0 is the most significant bit, so for
-labels (A3, A4, B1, B2) the amplitude of |a3 a4 b1 b2> sits at index
-8*a3 + 4*a4 + 2*b1 + b2.  Tolerances are absolute, ATOL = 1e-9, and a norm may
+labels (q0, q1, q2, q3) the amplitude of |x0 x1 x2 x3> sits at index
+8*x0 + 4*x1 + 2*x2 + x3.  Tolerances are absolute, ATOL = 1e-9, and a norm may
 be ATOL off 1: "exact" equality is component-wise, and s, t match up to phase
 iff |<s|t>| >= ||s|| ||t|| - ATOL (Cauchy-Schwarz caps it), as in lc_search.
 States are compared by position; differing labels or orders raise ValueError.
@@ -10,10 +10,12 @@ States are compared by position; differing labels or orders raise ValueError.
 Graph states are built by one batched kernel, also used by the orbit check in
 :mod:`graphstab.lc`: amplitude x of |G> is 2^{-n/2} (-1)^{q(x)}, where q(x)
 counts the edges of G with both ends set in x.
+
+The module holds no paper data: the chi00 state and its graphs are built in
+:mod:`graphstab.verify`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -57,17 +59,6 @@ class StateVector:
             return self.names.index(name)
         except ValueError:
             raise ValueError(f"unknown qubit label {name!r}") from None
-
-
-def build_chi00() -> StateVector:
-    """The four-qubit state on (A3, A4, B1, B2) with the eight +-1/(2*sqrt2) amplitudes."""
-    a = 1.0 / (2.0 * math.sqrt(2.0))
-    amps = np.zeros(16, dtype=complex)
-    for idx in (0b0000, 0b0110, 0b1001, 0b1010, 0b1100, 0b1111):
-        amps[idx] = a
-    for idx in (0b0011, 0b0101):
-        amps[idx] = -a
-    return StateVector(("A3", "A4", "B1", "B2"), amps)
 
 
 @lru_cache(maxsize=MAX_QUBITS)

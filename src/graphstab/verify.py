@@ -1,24 +1,94 @@
-"""The end-to-end verification battery: every identity the toolkit exists to
-reproduce, run through both engines, with one report entry per check.
+"""The paper's scenario and the battery that checks it, in one module.
 
-Each check carries a stable anchor string for traceability; the report is
+The scenario is the four-qubit chi00 state on qubits (A3, A4, B1, B2):
+the two reference graphs, the local unitary relating |G_b> to chi00, both
+stabilizer generator sets, the four correlation settings, and the expected
+texts, signs and entropies.  The engines elsewhere in the package are
+general; this module is the only one that knows the paper's data.
+
+The battery, :func:`verify_all`, runs every identity the toolkit exists to
+reproduce through both engines, with one report entry per check.  Each check
+carries a stable anchor string for traceability; the report is
 deterministic, so `verify-all --json` output is byte-identical across runs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import reference
 from .entanglement import Bipartition, entropy, is_product_across, reduce
-from .graphs import local_complement
+from .graphs import Graph, local_complement
 from .lc import lc_search, tau_unitary
-from .localops import ATOL
-from .nonlocality import (certificate_pauli_product, lhv_contradiction_certificate,
-                          lhv_solve_exhaustive, quantum_check)
-from .pauli import PauliString, commutes, graph_generators, independent, multiply
-from .states import apply_local, build_chi00, build_graph_state, max_residual, stabilizes
+from .localops import ATOL, HADAMARD, PAULI_MATS, LocalUnitary
+from .nonlocality import (CorrelationConstraint, constraint_from_pauli,
+                          lhv_contradiction_certificate, lhv_solve_exhaustive, quantum_check)
+from .pauli import (PauliString, StabilizerSet, commutes, conjugate_set, graph_generators,
+                    independent, multiply)
+from .states import StateVector, apply_local, build_graph_state, max_residual, stabilizes
+
+QUBITS = ("A3", "A4", "B1", "B2")
+
+# Expected generator texts in vertex order (signs all +1).
+GENERATOR_LETTERS = ("XZZZ", "ZXIZ", "ZIXZ", "ZZZX")
+# Expected conjugated generators and their signs.
+CONJUGATED_LETTERS = ("XZZX", "ZXIX", "ZIXX", "ZZZZ")
+CONJUGATED_SIGNS = (1, -1, -1, 1)
+# Expected product of conjugated generators 1, 2 and 4.
+SETTING_PRODUCT_LETTERS = "XXIZ"
+SETTING_PRODUCT_SIGN = 1
+# Entropy pattern: cut sides and values in bits.
+ENTROPY_CUTS = (("A3", "A4"), ("A3", "B1"), ("A3", "B2"))
+ENTROPY_BITS = (2.0, 2.0, 1.0)
+
+
+def build_chi00() -> StateVector:
+    """The four-qubit state on QUBITS with the eight +-1/(2*sqrt2) amplitudes."""
+    a = 1.0 / (2.0 * math.sqrt(2.0))
+    amps = np.zeros(16, dtype=complex)
+    for idx in (0b0000, 0b0110, 0b1001, 0b1010, 0b1100, 0b1111):
+        amps[idx] = a
+    for idx in (0b0011, 0b0101):
+        amps[idx] = -a
+    return StateVector(QUBITS, amps)
+
+
+def graph_a() -> Graph:
+    """The 4-cycle A3-A4-B2-B1."""
+    return Graph.from_edges(QUBITS, [("A3", "A4"), ("B1", "B2"), ("A3", "B1"), ("A4", "B2")])
+
+
+def graph_b() -> Graph:
+    """graph_a with the A3-B2 chord: the local complement of graph_a at A4."""
+    return Graph.from_edges(
+        QUBITS,
+        [("A3", "A4"), ("A3", "B1"), ("A3", "B2"), ("A4", "B2"), ("B1", "B2")])
+
+
+def chi00_unitary() -> LocalUnitary:
+    """Z on A3 and (Z after H) on B2: maps |G_b> to the chi00 state exactly."""
+    z, i = PAULI_MATS["Z"], PAULI_MATS["I"]
+    return LocalUnitary(1.0, [z, i, i, z @ HADAMARD])
+
+
+def plain_generators() -> StabilizerSet:
+    return graph_generators(graph_b())
+
+
+def conjugated_generators() -> StabilizerSet:
+    return conjugate_set(chi00_unitary(), plain_generators())
+
+
+def ghz_origins() -> tuple[PauliString, ...]:
+    """The four measurement-setting observables: conjugated generators 1, 2, 4
+    and their product."""
+    k = conjugated_generators().generators
+    return (k[0], k[1], k[3], multiply(k[0], k[1], k[3]))
+
+
+def ghz_constraints() -> tuple[CorrelationConstraint, ...]:
+    return tuple(constraint_from_pauli(p, QUBITS) for p in ghz_origins())
 
 
 @dataclass(frozen=True)
@@ -41,12 +111,12 @@ class VerificationReport:
 def verify_all() -> VerificationReport:
     """Run the full battery at amplitude tolerance ATOL."""
     checks: list[CheckResult] = []
-    ga = reference.graph_a()
-    gb = reference.graph_b()
+    ga = graph_a()
+    gb = graph_b()
     chi = build_chi00()
     state_a = build_graph_state(ga)
     state_b = build_graph_state(gb)
-    u_chi = reference.chi00_unitary()
+    u_chi = chi00_unitary()
 
     # Local complementation takes the 4-cycle to the graph whose generators
     # are the canonical ones.
@@ -54,7 +124,7 @@ def verify_all() -> VerificationReport:
     checks.append(CheckResult(
         "local-complementation", "Eq. (8)",
         tuple(k.to_text() for k in graph_generators(complemented).generators)
-        == reference.GENERATOR_LETTERS
+        == GENERATOR_LETTERS
         and complemented.edges() == gb.edges(),
         {"edges": [list(e) for e in complemented.edges()]},
     ))
@@ -79,11 +149,10 @@ def verify_all() -> VerificationReport:
     ))
 
     # Canonical generators: exact texts, commuting, independent, stabilizing.
-    gens = reference.plain_generators()
+    gens = plain_generators()
     texts = tuple(k.to_text() for k in gens.generators)
-    expected_texts = tuple(reference.GENERATOR_LETTERS)
     ok_gens = (
-        texts == expected_texts
+        texts == GENERATOR_LETTERS
         and all(commutes(a, b) for a in gens.generators for b in gens.generators)
         and independent(gens.generators)
         and stabilizes(gens, state_b)
@@ -93,7 +162,7 @@ def verify_all() -> VerificationReport:
 
     # Conjugated generators: symbolic signs, cross-checked against dense
     # matrix conjugation.
-    conj = reference.conjugated_generators()
+    conj = conjugated_generators()
     got_signs = tuple(k.sign for k in conj.generators)
     got_letters = tuple(k.letters for k in conj.generators)
     u_dense = u_chi.dense()
@@ -106,8 +175,8 @@ def verify_all() -> VerificationReport:
         dense_ok = dense_ok and r <= ATOL
     checks.append(CheckResult(
         "conjugated-generators", "Eqs. (15)-(18)",
-        got_signs == tuple(reference.CONJUGATED_SIGNS)
-        and got_letters == tuple(reference.CONJUGATED_LETTERS)
+        got_signs == CONJUGATED_SIGNS
+        and got_letters == CONJUGATED_LETTERS
         and dense_ok,
         {"generators": [k.to_text() for k in conj.generators],
          "signs": list(got_signs), "dense_residual": dense_resid},
@@ -121,14 +190,14 @@ def verify_all() -> VerificationReport:
     # Product of conjugated generators 1, 2, 4.
     k = conj.generators
     product = multiply(k[0], k[1], k[3])
-    want = PauliString.from_letters(reference.SETTING_PRODUCT_LETTERS,
-                                    reference.SETTING_PRODUCT_SIGN)
+    want = PauliString.from_letters(SETTING_PRODUCT_LETTERS,
+                                    SETTING_PRODUCT_SIGN)
     checks.append(CheckResult(
         "setting-product", "Eq. (20)", product == want, {"product": product.to_text()}))
 
     # Quantum predictions for the four measurement settings.
-    origins = reference.ghz_origins()
-    constraints = reference.ghz_constraints()
+    origins = ghz_origins()
+    constraints = ghz_constraints()
     report = quantum_check(chi, constraints, origins)
     checks.append(CheckResult(
         "quantum-correlations", "Eqs. (21)-(24)", report.all_satisfied,
@@ -145,12 +214,13 @@ def verify_all() -> VerificationReport:
     for i in range(len(constraints)):
         rest = [c for j, c in enumerate(constraints) if j != i]
         drops_ok = drops_ok and lhv_solve_exhaustive(rest)[0]
-    clash_product, clash_sign = certificate_pauli_product(constraints, origins, subset) \
-        if contradiction else (None, 0)
+    # the same clash at the Pauli level: the product of the subset's origins
+    # has the sign opposite to its constraints' sign product
+    clash = contradiction and (multiply(*(origins[i] for i in subset)).sign
+                               != math.prod(constraints[i].sign for i in subset))
     checks.append(CheckResult(
         "lhv-contradiction", "Eq. (25)",
-        (not sat) and contradiction and subset == (0, 1, 2, 3) and drops_ok
-        and clash_product is not None and clash_product.sign != clash_sign,
+        (not sat) and contradiction and subset == (0, 1, 2, 3) and drops_ok and clash,
         {"satisfiable": sat, "certificate_subset": list(subset),
          "single_drops_satisfiable": drops_ok},
     ))
@@ -159,7 +229,7 @@ def verify_all() -> VerificationReport:
     # pairings, no pairing is a product cut, and the two graph states agree.
     ent_details: dict = {"entropies": {}}
     ent_ok = True
-    for side, want_bits in zip(reference.ENTROPY_CUTS, reference.ENTROPY_BITS):
+    for side, want_bits in zip(ENTROPY_CUTS, ENTROPY_BITS):
         cut = Bipartition.of(chi, side)
         rhos = [reduce(state, cut) for state in (chi, state_a, state_b)]
         values = [entropy(rho) for rho in rhos]

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 
 from graphstab import build_chi00, build_graph_state
-from graphstab import reference
+from graphstab import verify
 
 settings.register_profile("default", deadline=None, max_examples=60)
 settings.load_profile("default")
@@ -15,12 +15,12 @@ def chi():
 
 @pytest.fixture(scope="session")
 def graph_a():
-    return reference.graph_a()
+    return verify.graph_a()
 
 
 @pytest.fixture(scope="session")
 def graph_b():
-    return reference.graph_b()
+    return verify.graph_b()
 
 
 @pytest.fixture(scope="session")
@@ -35,14 +35,14 @@ def state_b(graph_b):
 
 @pytest.fixture(scope="session")
 def u_chi():
-    return reference.chi00_unitary()
+    return verify.chi00_unitary()
 
 
 @pytest.fixture(scope="session")
 def k_set():
-    return reference.plain_generators()
+    return verify.plain_generators()
 
 
 @pytest.fixture(scope="session")
 def kbar_set():
-    return reference.conjugated_generators()
+    return verify.conjugated_generators()

@@ -15,7 +15,7 @@ from graphstab import (CorrelationConstraint, Graph, PauliString, apply_local,
                        independent, lc_search, lhv_contradiction_certificate,
                        lhv_solve_exhaustive, local_complement, multiply,
                        single_qubit_cliffords, stabilizes, tau_unitary)
-from graphstab import reference
+from graphstab import verify
 from graphstab.entanglement import Bipartition, entropy, is_product_across, reduce
 from graphstab.localops import LocalUnitary
 from graphstab.states import expectation, max_residual
@@ -39,12 +39,12 @@ def test_criterion_1_local_complement_identity(graph_a, graph_b):
         complemented = local_complement(graph_a, "A4")
         # expected edge set read off the canonical generators
         edges = set()
-        for text in reference.GENERATOR_LETTERS:
+        for text in verify.GENERATOR_LETTERS:
             (i,) = [q for q, c in enumerate(text) if c == "X"]
             for j, c in enumerate(text):
                 if c == "Z":
                     edges.add((min(i, j), max(i, j)))
-        names = reference.QUBITS
+        names = verify.QUBITS
         expected = Graph.from_edges(names, [(names[i], names[j]) for i, j in sorted(edges)])
         assert set(complemented.edges()) == set(expected.edges())
         assert canonical_key(complemented) == canonical_key(graph_b)
@@ -70,7 +70,7 @@ def test_criterion_4_graph_generators(graph_b, state_b, k_set):
     with criterion(4, "canonical generators: exact, commuting, independent"):
         gens = graph_generators(graph_b)
         assert gens == k_set
-        assert tuple(k.to_text() for k in gens.generators) == reference.GENERATOR_LETTERS
+        assert tuple(k.to_text() for k in gens.generators) == verify.GENERATOR_LETTERS
         assert all(k.sign == 1 for k in gens.generators)
         for a, b in itertools.combinations(gens.generators, 2):
             assert commutes(a, b)
@@ -82,8 +82,8 @@ def test_criterion_5_conjugated_signs(u_chi, k_set, kbar_set):
     with criterion(5, "conjugation signs (+,-,-,+), dense cross-check"):
         conj = conjugate_set(u_chi, k_set)
         assert conj == kbar_set
-        assert tuple(k.letters for k in conj.generators) == reference.CONJUGATED_LETTERS
-        assert tuple(k.sign for k in conj.generators) == reference.CONJUGATED_SIGNS
+        assert tuple(k.letters for k in conj.generators) == verify.CONJUGATED_LETTERS
+        assert tuple(k.sign for k in conj.generators) == verify.CONJUGATED_SIGNS
         u_dense = u_chi.dense()
         for plain, image in zip(k_set.generators, conj.generators):
             dense = u_dense @ plain.to_matrix() @ u_dense.conj().T
@@ -106,13 +106,13 @@ def test_criterion_7_setting_product(kbar_set):
 
 def test_criterion_8_quantum_expectations(chi):
     with criterion(8, "four origin expectations equal +1"):
-        for origin in reference.ghz_origins():
+        for origin in verify.ghz_origins():
             assert abs(expectation(origin, chi) - 1.0) <= ATOL
 
 
 def test_criterion_9_lhv_contradiction():
     with criterion(9, "LHV unsatisfiable, parity-clash certificate"):
-        constraints = list(reference.ghz_constraints())
+        constraints = list(verify.ghz_constraints())
         satisfiable, _ = lhv_solve_exhaustive(constraints)
         assert not satisfiable
         contradiction, subset = lhv_contradiction_certificate(constraints)
@@ -126,7 +126,7 @@ def test_criterion_9_lhv_contradiction():
 
 def test_criterion_10_entanglement_pattern(chi, state_a, state_b):
     with criterion(10, "entropy pattern (2,2,1) bits, no product pairing"):
-        for side, bits in zip(reference.ENTROPY_CUTS, reference.ENTROPY_BITS):
+        for side, bits in zip(verify.ENTROPY_CUTS, verify.ENTROPY_BITS):
             cut = Bipartition.of(chi, side)
             assert abs(entropy(reduce(chi, cut)) - bits) <= ENTROPY_ATOL
             assert not is_product_across(reduce(chi, cut))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from graphstab import cli, lc, reference
+from graphstab import cli, lc, verify
 from graphstab.cli import (graph_from_dict, graph_to_dict, local_unitary_to_dict, main,
                            report_to_dict, state_from_dict, state_to_dict)
 from graphstab.localops import LocalUnitary, pauli_rotation
@@ -57,7 +57,7 @@ class TestVerifyAll:
         assert report_to_dict(verify_all()) == report_to_dict(verify_all())
 
     def test_sign_flip_injection_fails_conjugation_check(self, monkeypatch, capsys):
-        monkeypatch.setattr(reference, "CONJUGATED_SIGNS", (1, 1, -1, 1))
+        monkeypatch.setattr(verify, "CONJUGATED_SIGNS", (1, 1, -1, 1))
         report = verify_all()
         assert not report.passed
         failing = [c.name for c in report.checks if not c.passed]
@@ -305,9 +305,9 @@ class TestGhzCheckCommand:
 
     def test_satisfiable_settings_exit_1(self, capsys, monkeypatch):
         # any three of the four settings admit a local-hidden-variable model
-        first_three = reference.ghz_origins()[:3], reference.ghz_constraints()[:3]
-        monkeypatch.setattr(reference, "ghz_origins", lambda: first_three[0])
-        monkeypatch.setattr(reference, "ghz_constraints", lambda: first_three[1])
+        first_three = verify.ghz_origins()[:3], verify.ghz_constraints()[:3]
+        monkeypatch.setattr(cli, "ghz_origins", lambda: first_three[0])
+        monkeypatch.setattr(cli, "ghz_constraints", lambda: first_three[1])
         code, out, _ = run(capsys, "ghz-check")
         assert code == 1
         doc = json.loads(out)

@@ -11,12 +11,11 @@ from graphstab import (CorrelationConstraint, Graph, PauliString, build_graph_st
                        conjugate_set, constraint_from_pauli, graph_generators,
                        lhv_contradiction_certificate, lhv_solve_exhaustive, multiply,
                        quantum_check)
-from graphstab import reference
+from graphstab import verify
 from graphstab.localops import ATOL, HADAMARD, PAULI_MATS, LocalUnitary
-from graphstab.nonlocality import certificate_pauli_product
 from graphstab.states import StateVector
 
-QUBITS = reference.QUBITS
+QUBITS = verify.QUBITS
 
 
 @st.composite
@@ -70,7 +69,7 @@ def basis_state(index):
 
 @pytest.fixture(scope="module")
 def settings():
-    return reference.ghz_constraints(), reference.ghz_origins()
+    return verify.ghz_constraints(), verify.ghz_origins()
 
 
 class TestConstraintFromPauli:
@@ -255,7 +254,8 @@ class TestPauliLevelConsistency:
     def test_reference_sign_clash(self, settings):
         constraints, origins = settings
         contradiction, subset = lhv_contradiction_certificate(constraints)
-        product, sign_product = certificate_pauli_product(constraints, origins, subset)
+        product = multiply(*(origins[i] for i in subset))
+        sign_product = math.prod(constraints[i].sign for i in subset)
         assert contradiction
         assert (product.x, product.z) == (0, 0)
         assert product.sign == 1 and sign_product == -1
@@ -289,7 +289,8 @@ class TestPauliLevelConsistency:
             assert sat == (not contradiction)
             if contradiction:
                 seen_contradiction = True
-                prod, sign_product = certificate_pauli_product(constraints, origins, subset)
+                prod = multiply(*(origins[i] for i in subset))
+                sign_product = math.prod(constraints[i].sign for i in subset)
                 assert (prod.x, prod.z) == (0, 0)
                 assert prod.sign != sign_product
         assert seen_contradiction

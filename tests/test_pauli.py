@@ -1,17 +1,22 @@
+import ast
+import inspect
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphstab import (LocalUnitary, PauliString, commutes, conjugate_by_local,
-                       independent, multiply)
-from graphstab import reference
-from graphstab.localops import PAULI_MATS, pauli_rotation, single_qubit_cliffords
+import graphstab
+from graphstab import (Graph, LocalUnitary, PauliString, StabilizerSet, apply_local,
+                       build_graph_state, commutes, conjugate_by_local, conjugate_set,
+                       graph_generators, independent, multiply, stabilizes)
+from graphstab.localops import HADAMARD, PAULI_MATS, pauli_rotation, single_qubit_cliffords
 from graphstab.pauli import _clifford_images, _dependencies
 
-from strategies import local_cliffords, paulis
+from strategies import graphs, local_cliffords, paulis
 
 
 class TestTextFormat:
@@ -201,3 +206,108 @@ class TestHermiticity:
     def test_y_is_hermitian(self):
         assert PauliString.from_letters("Y").is_hermitian
         assert PauliString.from_letters("Y").sign == 1
+
+
+class TestGraphGenerators:
+    def test_reference_graph(self, graph_b, k_set):
+        assert [k.to_text() for k in k_set.generators] == ["XZZZ", "ZXIZ", "ZIXZ", "ZZZX"]
+        assert graph_generators(graph_b) == k_set
+
+    def test_empty_graph(self):
+        gens = graph_generators(Graph.from_edges(("a", "b"), [])).generators
+        assert [k.to_text() for k in gens] == ["XI", "IX"]
+
+    def test_single_edge(self):
+        gens = graph_generators(Graph.from_edges(("a", "b"), [("a", "b")])).generators
+        assert [k.to_text() for k in gens] == ["XZ", "ZX"]
+
+    def test_order_follows_vertices(self, graph_b, k_set):
+        for i, k in enumerate(k_set.generators):
+            assert k.letter(i) == "X"
+
+
+class TestConjugateSet:
+    def test_reference_signs(self, u_chi, k_set):
+        conj = conjugate_set(u_chi, k_set)
+        assert [k.to_text() for k in conj.generators] == ["XZZX", "-ZXIX", "-ZIXX", "ZZZZ"]
+        assert [k.sign for k in conj.generators] == [1, -1, -1, 1]
+
+    def test_identity_leaves_set_unchanged(self, k_set):
+        assert conjugate_set(LocalUnitary.identity(4), k_set) == k_set
+
+    def test_hadamard_twice_restores(self, k_set):
+        u = LocalUnitary(1.0, [np.eye(2), np.eye(2), HADAMARD, np.eye(2)])
+        assert conjugate_set(u, conjugate_set(u, k_set)) == k_set
+
+    @given(g=graphs(min_n=2, max_n=5), data=st.data())
+    def test_preserves_invariants(self, g, data):
+        u = data.draw(local_cliffords(g.n))
+        conj = conjugate_set(u, graph_generators(g))
+        gens = conj.generators
+        assert independent(gens)
+        for a, b in itertools.combinations(gens, 2):
+            assert commutes(a, b)
+
+    @given(g=graphs(min_n=2, max_n=5), data=st.data())
+    def test_transports_stabilization(self, g, data):
+        u = data.draw(local_cliffords(g.n))
+        sset = graph_generators(g)
+        state = build_graph_state(g)
+        assert stabilizes(conjugate_set(u, sset), apply_local(u, state))
+
+
+class TestValidation:
+    def test_rejects_anticommuting(self):
+        with pytest.raises(ValueError, match="anticommute"):
+            StabilizerSet((PauliString.from_letters("X"), PauliString.from_letters("Z")))
+
+    def test_rejects_dependent(self):
+        p = PauliString.from_letters("XZ")
+        with pytest.raises(ValueError, match="dependent"):
+            StabilizerSet((p, p))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="hermitian"):
+            StabilizerSet((PauliString(1, 1, 0, 1),))
+
+
+def _imports_states(tree: ast.Module) -> bool:
+    """True iff the module imports the dense engine, in any import form."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name == "graphstab.states" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".states", "graphstab.states"):
+                return True
+            if module in (".", "graphstab") and any(a.name == "states" for a in node.names):
+                return True
+    return False
+
+
+PACKAGE_DIR = Path(graphstab.__file__).parent
+PAPER_QUBITS = ("A3", "A4", "B1", "B2")
+
+
+class TestLayering:
+    def test_symbolic_engine_does_not_import_dense_engine(self):
+        modules = {inspect.getmodule(obj) for obj in (graphstab.StabilizerSet,
+                                                      graphstab.graph_generators,
+                                                      graphstab.conjugate_set)}
+        offenders = [m.__name__ for m in modules
+                     if _imports_states(ast.parse(inspect.getsource(m)))]
+        assert offenders == []
+
+    @pytest.mark.parametrize(
+        "path", sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "verify.py"),
+        ids=lambda p: p.name)
+    def test_only_verify_spells_the_paper_qubits(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        spelled = [node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and node.value in PAPER_QUBITS]
+        assert spelled == []
+
+    def test_the_scenario_has_no_module_of_its_own(self):
+        assert (PACKAGE_DIR / "verify.py").is_file()
+        assert not (PACKAGE_DIR / "reference.py").exists()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -7,12 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphstab import (Graph, LocalUnitary, PauliString, apply_local, apply_pauli,
-                       build_chi00, build_graph_state, conjugate_by_local,
-                       equal_up_to_global_phase, expectation)
-from graphstab import reference
+from graphstab import (Graph, LocalUnitary, PauliString, StabilizerSet, apply_local,
+                       apply_pauli, build_graph_state, conjugate_by_local,
+                       equal_up_to_global_phase, expectation, graph_generators, stabilizes)
 from graphstab.cli import state_from_dict, state_to_dict
-from graphstab.localops import ATOL, PAULI_MATS
+from graphstab.localops import ATOL
 from graphstab.states import StateVector, _apply_factor, _bit_table, _pauli_spectrum, max_residual
 
 from strategies import graphs, local_cliffords, paulis, random_states
@@ -297,3 +297,41 @@ class TestNonFinite:
             StateVector(("a",), [bad, 0.0])
         with pytest.raises(ValueError, match="normalized"):
             StateVector(("a", "b"), [1.0, 0.0, complex(0.0, bad), 0.0])
+
+
+def all_four_vertex_graphs():
+    names = ("q0", "q1", "q2", "q3")
+    pairs = list(itertools.combinations(range(4), 2))
+    for bits in range(2 ** len(pairs)):
+        edges = [(names[i], names[j]) for k, (i, j) in enumerate(pairs) if bits >> k & 1]
+        yield Graph.from_edges(names, edges)
+
+
+class TestStabilizes:
+    def test_conjugated_set_fixes_chi(self, kbar_set, chi):
+        assert stabilizes(kbar_set, chi)
+
+    def test_plain_set_fixes_graph_state(self, k_set, state_b):
+        assert stabilizes(k_set, state_b)
+
+    def test_wrong_sign_detected(self):
+        zero = StateVector(("q0",), [1.0, 0.0])
+        minus_z = StabilizerSet((PauliString.from_letters("Z", -1),))
+        assert not stabilizes(minus_z, zero)
+
+    def test_mismatched_size(self, k_set):
+        with pytest.raises(ValueError, match="differ"):
+            stabilizes(k_set, StateVector(("q0",), [1.0, 0.0]))
+
+    def test_exhaustive_four_vertex_graphs(self):
+        for g in all_four_vertex_graphs():
+            assert stabilizes(graph_generators(g), build_graph_state(g))
+
+    def test_random_five_vertex_graphs(self):
+        rng = np.random.default_rng(11)
+        names = tuple(f"q{i}" for i in range(5))
+        pairs = list(itertools.combinations(names, 2))
+        for _ in range(25):
+            edges = [p for p in pairs if rng.random() < 0.5]
+            g = Graph.from_edges(names, edges)
+            assert stabilizes(graph_generators(g), build_graph_state(g))
